@@ -44,11 +44,22 @@ class Random {
 };
 
 /// SplitMix64 step: used for seeding and as a cheap stateless hash/mixer.
-uint64_t SplitMix64(uint64_t* state);
+/// Inline: it is the per-key hash of every join probe and the per-word
+/// mixer of the result digest.
+inline uint64_t SplitMix64(uint64_t* state) {
+  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
 
 /// Finalizing 64-bit mixer (the SplitMix64 finalizer); good avalanche
-/// behaviour, used for hash partitioning of join keys.
-uint64_t Mix64(uint64_t value);
+/// behaviour, used for hash partitioning of join keys. A bijection on
+/// 64-bit values.
+inline uint64_t Mix64(uint64_t value) {
+  uint64_t state = value;
+  return SplitMix64(&state);
+}
 
 }  // namespace mjoin
 

@@ -1,6 +1,8 @@
 #ifndef MJOIN_COMMON_STRING_UTIL_H_
 #define MJOIN_COMMON_STRING_UTIL_H_
 
+#include <charconv>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -37,6 +39,18 @@ std::string FormatDouble(double value, int digits);
 
 /// Human-readable byte count ("1.5 MiB").
 std::string FormatBytes(uint64_t bytes);
+
+/// Parses all of `text` as a number of type T: nullopt for an empty value,
+/// trailing junk, a value outside T's range, or a sign T cannot hold (so a
+/// negative value for an unsigned T).
+template <typename T>
+std::optional<T> ParseNumber(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
 
 }  // namespace mjoin
 

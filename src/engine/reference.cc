@@ -28,8 +28,10 @@ StatusOr<Relation> ExecuteReference(const JoinQuery& query,
     const Relation& right = results[static_cast<size_t>(node.right)];
 
     JoinHashTable table(spec.left_schema, spec.left_key);
-    for (size_t i = 0; i < left.num_tuples(); ++i) {
-      table.Insert(left.tuple(i).data());
+    table.InsertBatch(left.raw_data(), left.num_tuples());
+    if (table.full()) {
+      return Status::ResourceExhausted(
+          "reference join build side exceeds the hash table's row limit");
     }
     Relation out(*spec.output_schema);
     std::vector<std::byte> row(spec.output_schema->tuple_size());

@@ -19,7 +19,8 @@ struct ResultSummary {
   bool operator==(const ResultSummary&) const = default;
 };
 
-/// 64-bit FNV-1a of the row bytes, finalized with a strong mixer.
+/// 64-bit hash of the row bytes, mixed a word (8 bytes) at a time. Any
+/// single changed byte changes the hash, and the row's size is hashed in.
 uint64_t HashRowBytes(const std::byte* row, size_t size);
 
 /// Summary over a whole relation.

@@ -2,6 +2,7 @@
 #define MJOIN_EXEC_HASH_TABLE_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -13,70 +14,61 @@
 
 namespace mjoin {
 
-/// Join hash table over an int32 key: open addressing with linear probing,
-/// duplicate keys stored as separate slots, rows copied into a contiguous
-/// arena. This is the main-memory hash table both the simple and the
-/// pipelining hash-join build.
+/// Join hash table over an int32 key, the main-memory table both the
+/// simple and the pipelining hash join build. Rows are copied into a
+/// contiguous arena. An open-addressing slot array (linear probing) holds
+/// one 8-byte slot {key, row} per *distinct* key, so a probe compares keys
+/// inside the slot array and reads the arena only for matches. Rows that
+/// share a key form a circular list through the per-row `next_` array: the
+/// slot names the newest row and next_[newest] the oldest, so matches come
+/// back in insertion order. The slot index is the top bits of HashJoinKey,
+/// while FragmentOf routes on the hash modulo the fragment count; the keys
+/// one fragment holds therefore still spread over all slots.
 class JoinHashTable {
  public:
+  /// Row indices are uint32 and kNoRow marks an empty slot, so a table
+  /// holds at most kMaxRows rows.
+  static constexpr size_t kMaxRows = std::numeric_limits<uint32_t>::max();
+
   JoinHashTable(std::shared_ptr<const Schema> schema, size_t key_column);
 
   JoinHashTable(const JoinHashTable&) = delete;
   JoinHashTable& operator=(const JoinHashTable&) = delete;
 
-  /// Copies `row` (schema().tuple_size() bytes) into the table.
-  void Insert(const std::byte* row);
+  /// Copies `count` contiguous rows (schema().tuple_size() bytes each)
+  /// into the table with one arena append and one budget update. A batch
+  /// that would take the table past max_rows() is dropped whole and
+  /// latches full(); one that overflows the budget latches over_budget().
+  void InsertBatch(const std::byte* rows, size_t count);
+  void Insert(const std::byte* row) { InsertBatch(row, 1); }
 
-  /// Invokes `fn(TupleRef)` for every stored row whose key equals `key`.
-  /// Returns the number of matches.
+  /// Invokes `fn(TupleRef)` for every stored row whose key equals `key`,
+  /// in insertion order. Returns the number of matches.
   template <typename Fn>
   size_t Probe(int32_t key, Fn&& fn) const {
     if (capacity_ == 0) return 0;
-    size_t matches = 0;
-    size_t mask = capacity_ - 1;
-    size_t slot = static_cast<size_t>(HashJoinKey(key)) & mask;
-    while (slots_[slot] != kEmpty) {
-      size_t row_index = slots_[slot] - 1;
-      TupleRef row = RowAt(row_index);
-      if (row.GetInt32(key_column_) == key) {
-        ++matches;
-        fn(row);
-      } else {
-        ++probe_collisions_;
-      }
-      slot = (slot + 1) & mask;
-    }
-    return matches;
+    return VisitMatches(FindSlot(key, SlotOf(key), &probe_collisions_), fn);
   }
 
   /// Batch-at-a-time probe: first hashes all `n` keys in one tight pass
-  /// (no table accesses, so the loop vectorizes and the key loads stream),
-  /// then walks each key's slot chain. Invokes `fn(i, TupleRef)` for every
-  /// stored row matching keys[i], in ascending i. Returns the total number
-  /// of matches. Equivalent to calling Probe(keys[i], ...) for each i.
+  /// that prefetches each start slot, then looks each key up. Invokes
+  /// `fn(i, TupleRef)` for every stored row matching keys[i], in ascending
+  /// i and, per key, in insertion order. Returns the total number of
+  /// matches. Equivalent to calling Probe(keys[i], ...) for each i.
   template <typename Fn>
   size_t ProbeBatch(const int32_t* keys, size_t n, Fn&& fn) const {
     if (capacity_ == 0 || n == 0) return 0;
-    const size_t mask = capacity_ - 1;
     probe_slots_.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      probe_slots_[i] = static_cast<size_t>(HashJoinKey(keys[i])) & mask;
+      const size_t slot = SlotOf(keys[i]);
+      probe_slots_[i] = slot;
+      __builtin_prefetch(&slots_[slot]);
     }
     size_t matches = 0;
     for (size_t i = 0; i < n; ++i) {
-      size_t slot = probe_slots_[i];
-      const int32_t key = keys[i];
-      while (slots_[slot] != kEmpty) {
-        size_t row_index = slots_[slot] - 1;
-        TupleRef row = RowAt(row_index);
-        if (row.GetInt32(key_column_) == key) {
-          ++matches;
-          fn(i, row);
-        } else {
-          ++probe_collisions_;
-        }
-        slot = (slot + 1) & mask;
-      }
+      const size_t slot =
+          FindSlot(keys[i], probe_slots_[i], &probe_collisions_);
+      matches += VisitMatches(slot, [&](TupleRef row) { fn(i, row); });
     }
     return matches;
   }
@@ -90,10 +82,11 @@ class JoinHashTable {
   }
 
   size_t size() const { return num_rows_; }
-  /// Arena + slot array footprint, for the paper's FP-uses-more-memory
-  /// observation.
+  /// Arena + slot array + duplicate links, for the paper's
+  /// FP-uses-more-memory observation.
   size_t memory_bytes() const {
-    return arena_.size() + slots_.size() * sizeof(uint64_t);
+    return arena_.size() + slots_.size() * sizeof(Slot) +
+           next_.size() * sizeof(uint32_t);
   }
 
   const Schema& schema() const { return *schema_; }
@@ -103,41 +96,91 @@ class JoinHashTable {
   /// drops a drained table still reports what the table cost to run.
   /// Rows ever inserted (size() reports only the *current* fill).
   uint64_t total_inserted() const { return total_inserted_; }
-  /// Occupied slots stepped over: non-matching keys visited during probes
-  /// plus linear-probing steps during inserts (rehashing excluded). High
-  /// values relative to total_inserted() mean clustered keys.
+  /// Occupied slots of other keys stepped over: during probes plus during
+  /// inserts (rehashing excluded). Duplicates of the probed key are never
+  /// counted. High values relative to total_inserted() mean clustered keys.
   uint64_t collisions() const { return probe_collisions_ + insert_collisions_; }
 
   /// Releases all storage (used when a pipelining join drains one side).
   void Clear();
 
   /// Accounts this table's footprint against `budget` (null detaches). An
-  /// insert can never fail mid-row, so an overflowing reservation instead
+  /// insert can never fail mid-batch, so an overflowing reservation instead
   /// latches over_budget(); the owning join checks it after every batch
   /// and aborts the query via OpContext::ReportError.
   void AttachBudget(MemoryBudget* budget);
   bool over_budget() const { return over_budget_; }
 
+  /// Latched once a batch was refused for exceeding max_rows(); the owning
+  /// join reports it as ResourceExhausted, like over_budget().
+  bool full() const { return full_; }
+  size_t max_rows() const { return max_rows_; }
+  /// Lowers the row bound below kMaxRows, so tests can reach full().
+  void set_max_rows(size_t max_rows);
+
  private:
-  static constexpr uint64_t kEmpty = 0;
+  static constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+
+  /// One distinct key and the newest row carrying it; row == kNoRow marks
+  /// an empty slot.
+  struct Slot {
+    int32_t key;
+    uint32_t row;
+  };
 
   TupleRef RowAt(size_t row_index) const {
     return TupleRef(arena_.data() + row_index * schema_->tuple_size(),
                     schema_.get());
   }
 
+  size_t SlotOf(int32_t key) const {
+    return static_cast<size_t>(HashJoinKey(key) >> shift_);
+  }
+
+  /// The slot holding `key`, or the empty slot where it would go, starting
+  /// the linear probe at `slot`. Adds the other keys stepped over to
+  /// `*collisions`.
+  size_t FindSlot(int32_t key, size_t slot, uint64_t* collisions) const {
+    const size_t mask = capacity_ - 1;
+    while (slots_[slot].row != kNoRow && slots_[slot].key != key) {
+      ++*collisions;
+      slot = (slot + 1) & mask;
+    }
+    return slot;
+  }
+
+  /// Walks the duplicate list of the key at `slot` from oldest to newest.
+  template <typename Fn>
+  size_t VisitMatches(size_t slot, Fn&& fn) const {
+    const uint32_t newest = slots_[slot].row;
+    if (newest == kNoRow) return 0;
+    size_t matches = 0;
+    uint32_t row = newest;
+    do {
+      row = next_[row];
+      ++matches;
+      fn(RowAt(row));
+    } while (row != newest);
+    return matches;
+  }
+
   void Grow();
-  void InsertSlot(size_t row_index, bool count_collisions);
 
   std::shared_ptr<const Schema> schema_;
   size_t key_column_;
   size_t num_rows_ = 0;
+  size_t num_keys_ = 0;  // distinct keys, i.e. occupied slots
   size_t capacity_ = 0;  // power of two; 0 until first insert
-  // Slot holds row_index + 1; 0 means empty.
-  std::vector<uint64_t> slots_;
+  int shift_ = 64;       // 64 - log2(capacity_)
+  size_t max_rows_ = kMaxRows;
+  std::vector<Slot> slots_;
+  // next_[r]: the next-newer row with r's key, or, for the newest, the
+  // oldest (a circular list, so appending needs only the newest).
+  std::vector<uint32_t> next_;
   std::vector<std::byte> arena_;
   MemoryReservation reservation_;
   bool over_budget_ = false;
+  bool full_ = false;
   // Mutable: Probe() is logically const; instances are single-threaded.
   // probe_slots_ is ProbeBatch's reusable start-slot scratch (capacity
   // retained across batches, so the probe path allocates nothing in

@@ -92,11 +92,7 @@ void PipeliningHashJoinOp::Consume(int port, const TupleBatch& batch,
             ctx->EmitRow(out_row_.data());
           });
     }
-    if (insert_needed) {
-      for (size_t i = 0; i < chunk; ++i) {
-        own.Insert(batch.tuple(processed + i).data());
-      }
-    }
+    if (insert_needed) own.InsertBatch(batch.tuple(processed).data(), chunk);
     processed += chunk;
   }
   ctx->Charge(static_cast<Ticks>(processed) * per_tuple +
@@ -106,6 +102,9 @@ void PipeliningHashJoinOp::Consume(int port, const TupleBatch& batch,
   if (tables_[0].over_budget() || tables_[1].over_budget()) {
     ctx->ReportError(Status::ResourceExhausted(
         "pipelining join tables exceed the query memory budget"));
+  } else if (tables_[0].full() || tables_[1].full()) {
+    ctx->ReportError(Status::ResourceExhausted(
+        "pipelining join table exceeds its row limit"));
   }
 }
 

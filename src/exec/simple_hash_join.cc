@@ -57,9 +57,7 @@ void SimpleHashJoinOp::ConsumeBuild(const TupleBatch& batch, OpContext* ctx) {
   const CostParams& costs = ctx->costs();
   ctx->Charge(static_cast<Ticks>(batch.num_tuples()) *
               (costs.tuple_hash + costs.tuple_build));
-  for (size_t i = 0; i < batch.num_tuples(); ++i) {
-    table_.Insert(batch.tuple(i).data());
-  }
+  table_.InsertBatch(batch.raw_data(), batch.num_tuples());
   UpdatePeakMemory();
 }
 
@@ -142,6 +140,9 @@ void SimpleHashJoinOp::CheckBudget(OpContext* ctx) {
   if (table_.over_budget()) {
     ctx->ReportError(Status::ResourceExhausted(
         "hash join build table exceeds the query memory budget"));
+  } else if (table_.full()) {
+    ctx->ReportError(Status::ResourceExhausted(
+        "hash join build table exceeds its row limit"));
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/random.h"
 #include "common/statusor.h"
 #include "storage/relation.h"
 
@@ -11,8 +12,12 @@ namespace mjoin {
 
 /// Hash used for all hash partitioning and join hash tables, so that a
 /// relation fragmented on its join attribute lands build and probe tuples
-/// with equal keys on the same fragment/bucket.
-uint64_t HashJoinKey(int32_t key);
+/// with equal keys on the same fragment/bucket. Fragments take the hash
+/// modulo their count and hash tables take its high bits, so the keys that
+/// land on one fragment still spread over all of a table's slots.
+inline uint64_t HashJoinKey(int32_t key) {
+  return Mix64(static_cast<uint64_t>(static_cast<uint32_t>(key)));
+}
 
 /// Maps a join key to one of `num_fragments` destinations.
 inline uint32_t FragmentOf(int32_t key, uint32_t num_fragments) {

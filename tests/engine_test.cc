@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/random.h"
 #include "engine/controller.h"
 #include "engine/database.h"
 #include "engine/experiment.h"
@@ -62,14 +65,41 @@ TEST(ResultTest, ChecksumDetectsContentChanges) {
 }
 
 TEST(ResultTest, HashRowBytesSensitiveToEveryByte) {
-  std::vector<std::byte> row(16, std::byte{0});
-  uint64_t base = HashRowBytes(row.data(), row.size());
-  for (size_t i = 0; i < row.size(); ++i) {
-    std::vector<std::byte> tweaked = row;
-    tweaked[i] = std::byte{1};
-    EXPECT_NE(HashRowBytes(tweaked.data(), tweaked.size()), base)
-        << "byte " << i;
+  // Widths 1..33 cover the four-lane words, the single-word loop and every
+  // length of zero-padded tail.
+  for (size_t width = 1; width <= 33; ++width) {
+    std::vector<std::byte> row(width, std::byte{0});
+    const uint64_t base = HashRowBytes(row.data(), row.size());
+    for (size_t i = 0; i < width; ++i) {
+      for (std::byte value : {std::byte{1}, std::byte{0x80}}) {
+        std::vector<std::byte> tweaked = row;
+        tweaked[i] = value;
+        EXPECT_NE(HashRowBytes(tweaked.data(), tweaked.size()), base)
+            << "width " << width << " byte " << i;
+      }
+    }
   }
+}
+
+TEST(ResultTest, HashRowBytesSeparatesZeroRowsOfEveryWidth) {
+  // A zero-padded tail must not make a short row equal a longer one.
+  std::set<uint64_t> hashes;
+  const std::vector<std::byte> zeros(33, std::byte{0});
+  for (size_t width = 0; width <= zeros.size(); ++width) {
+    hashes.insert(HashRowBytes(zeros.data(), width));
+  }
+  EXPECT_EQ(hashes.size(), zeros.size() + 1);
+}
+
+TEST(ResultTest, SummaryIgnoresRowOrder) {
+  Relation rel = GenerateWisconsin(500, 3);
+  std::vector<uint32_t> order(rel.num_tuples());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  Random rng(11);
+  rng.Shuffle(&order);
+  Relation permuted(rel.schema());
+  for (uint32_t i : order) permuted.AppendRow(rel.tuple(i).data());
+  EXPECT_EQ(SummarizeRelation(permuted), SummarizeRelation(rel));
 }
 
 // --- QueryController ------------------------------------------------------------

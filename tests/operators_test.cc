@@ -44,10 +44,14 @@ class RecordingContext : public OpContext {
   void Charge(Ticks cost) override { charged += cost; }
   void EmitRow(const std::byte* row) override { out.AppendRow(row); }
   const CostParams& costs() const override { return params; }
+  void ReportError(const Status& status) override {
+    if (error.ok()) error = status;
+  }
 
   CostParams params;
   Ticks charged = 0;
   TupleBatch out;
+  Status error;
 };
 
 // --- JoinHashTable -----------------------------------------------------------
@@ -114,6 +118,182 @@ TEST(JoinHashTableTest, NegativeKeys) {
   EXPECT_EQ(table.Probe(-7, [&](const TupleRef& t) { v = t.GetInt32(1); }),
             1u);
   EXPECT_EQ(v, 70);
+}
+
+/// Values (column 1) of the rows matching `key`, in the order Probe
+/// returns them.
+std::vector<int32_t> ProbeValues(const JoinHashTable& table, int32_t key) {
+  std::vector<int32_t> values;
+  table.Probe(key, [&](const TupleRef& t) { values.push_back(t.GetInt32(1)); });
+  return values;
+}
+
+TEST(JoinHashTableTest, DuplicatesComeBackInInsertionOrder) {
+  // 300 distinct keys, 10 rows each, interleaved: the table grows from 64
+  // to 512 slots while the duplicate lists are being built.
+  constexpr int32_t kKeys = 300;
+  constexpr int32_t kRows = 3000;
+  Relation rel(*TestSchema());
+  for (int32_t v = 0; v < kRows; ++v) {
+    TupleWriter w = rel.AppendTuple();
+    w.SetInt32(0, v % kKeys);
+    w.SetInt32(1, v);
+  }
+  JoinHashTable table(TestSchema(), 0);
+  for (size_t i = 0; i < rel.num_tuples(); ++i) {
+    table.Insert(rel.tuple(i).data());
+  }
+  std::vector<int32_t> keys;
+  for (int32_t k = 0; k < kKeys; ++k) {
+    std::vector<int32_t> expected;
+    for (int32_t v = k; v < kRows; v += kKeys) expected.push_back(v);
+    EXPECT_EQ(ProbeValues(table, k), expected) << "key " << k;
+    keys.push_back(k);
+    keys.push_back(kKeys + k);  // a miss between every two hits
+  }
+  // ProbeBatch: ascending i, and per key in insertion order.
+  std::vector<std::pair<size_t, int32_t>> got;
+  size_t matches = table.ProbeBatch(
+      keys.data(), keys.size(), [&](size_t i, const TupleRef& t) {
+        got.emplace_back(i, t.GetInt32(1));
+      });
+  EXPECT_EQ(matches, static_cast<size_t>(kRows));
+  std::vector<std::pair<size_t, int32_t>> expected;
+  for (size_t i = 0; i < keys.size(); i += 2) {
+    for (int32_t v = keys[i]; v < kRows; v += kKeys) expected.emplace_back(i, v);
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(JoinHashTableTest, KeysOfOneFragmentSpreadOverTheSlots) {
+  // Every key a fragment instance holds shares HashJoinKey(k) % n. Slot
+  // bits correlated with the routing bits would pile those keys into a
+  // fraction of the slots; successful probes must stay near the ideal
+  // linear-probing cost (about 1.2 collisions at the 0.7 fill limit).
+  for (uint32_t n : {4u, 8u, 40u, 80u}) {
+    Relation rel(*TestSchema());
+    for (int32_t k = 0; rel.num_tuples() < 5000; ++k) {
+      if (FragmentOf(k, n) != 0) continue;
+      TupleWriter w = rel.AppendTuple();
+      w.SetInt32(0, k);
+      w.SetInt32(1, k);
+    }
+    JoinHashTable table(TestSchema(), 0);
+    table.InsertBatch(rel.raw_data(), rel.num_tuples());
+    const uint64_t before = table.collisions();
+    for (size_t i = 0; i < rel.num_tuples(); ++i) {
+      ASSERT_EQ(table.Probe(rel.tuple(i).GetInt32(0), [](const TupleRef&) {}),
+                1u);
+    }
+    const double per_probe =
+        static_cast<double>(table.collisions() - before) /
+        static_cast<double>(rel.num_tuples());
+    EXPECT_LE(per_probe, 1.5) << "n=" << n;
+  }
+}
+
+TEST(JoinHashTableTest, HotKeyAddsNoCollisionsForOtherKeys) {
+  // Two tables with the same distinct keys in the same order; in one, key
+  // 0 carries 1,000 rows instead of one. Probes for the other keys must
+  // not notice: duplicates live off the slot array.
+  auto build = [](int32_t hot_rows) {
+    Relation rel(*TestSchema());
+    for (int32_t d = 0; d < hot_rows; ++d) {
+      TupleWriter w = rel.AppendTuple();
+      w.SetInt32(0, 0);
+      w.SetInt32(1, d);
+    }
+    for (int32_t k = 1; k <= 2000; ++k) {
+      TupleWriter w = rel.AppendTuple();
+      w.SetInt32(0, k);
+      w.SetInt32(1, k);
+    }
+    auto table = std::make_unique<JoinHashTable>(TestSchema(), 0);
+    table->InsertBatch(rel.raw_data(), rel.num_tuples());
+    return table;
+  };
+  std::unique_ptr<JoinHashTable> single = build(1);
+  std::unique_ptr<JoinHashTable> hot = build(1000);
+  EXPECT_EQ(hot->collisions(), single->collisions());
+  auto probe_others = [](const JoinHashTable& table) {
+    const uint64_t before = table.collisions();
+    for (int32_t k = 1; k <= 4000; ++k) {  // hits, then misses
+      table.Probe(k, [](const TupleRef&) {});
+    }
+    return table.collisions() - before;
+  };
+  EXPECT_EQ(probe_others(*hot), probe_others(*single));
+  EXPECT_EQ(hot->Probe(0, [](const TupleRef&) {}), 1000u);
+}
+
+TEST(JoinHashTableTest, InsertBatchMatchesRepeatedInsert) {
+  Relation rel(*TestSchema());
+  for (int32_t v = 0; v < 2000; ++v) {
+    TupleWriter w = rel.AppendTuple();
+    w.SetInt32(0, (v * 7919) % 613 - 300);  // duplicates, negative keys
+    w.SetInt32(1, v);
+  }
+  JoinHashTable one_by_one(TestSchema(), 0);
+  for (size_t i = 0; i < rel.num_tuples(); ++i) {
+    one_by_one.Insert(rel.tuple(i).data());
+  }
+  JoinHashTable batched(TestSchema(), 0);
+  const size_t tuple_size = rel.schema().tuple_size();
+  for (size_t off = 0; off < rel.num_tuples(); off += 128) {
+    const size_t count = std::min<size_t>(128, rel.num_tuples() - off);
+    batched.InsertBatch(rel.raw_data() + off * tuple_size, count);
+  }
+  EXPECT_EQ(batched.size(), one_by_one.size());
+  EXPECT_EQ(batched.memory_bytes(), one_by_one.memory_bytes());
+  EXPECT_EQ(batched.collisions(), one_by_one.collisions());
+  for (int32_t k = -300; k <= 320; ++k) {
+    EXPECT_EQ(ProbeValues(batched, k), ProbeValues(one_by_one, k))
+        << "key " << k;
+  }
+}
+
+TEST(JoinHashTableTest, BudgetLatchesAtBatchGranularity) {
+  Relation rel(*TestSchema());
+  for (int32_t v = 0; v < 64; ++v) {
+    TupleWriter w = rel.AppendTuple();
+    w.SetInt32(0, v);
+    w.SetInt32(1, v);
+  }
+  const size_t tuple_size = rel.schema().tuple_size();
+  MemoryBudget budget(1200);
+  JoinHashTable table(TestSchema(), 0);
+  table.AttachBudget(&budget);
+  // 8 rows and 64 slots fit (608 bytes); the reservation is the whole
+  // footprint.
+  table.InsertBatch(rel.raw_data(), 8);
+  EXPECT_FALSE(table.over_budget());
+  EXPECT_EQ(budget.used(), table.memory_bytes());
+  const size_t fitted = budget.used();
+  // The next 56 rows take the table to 128 slots and 1,792 bytes. The
+  // batch is stored and latches over_budget(); the budget keeps the part
+  // of it that fit.
+  table.InsertBatch(rel.raw_data() + 8 * tuple_size, 56);
+  EXPECT_TRUE(table.over_budget());
+  EXPECT_EQ(table.size(), 64u);
+  EXPECT_GT(budget.used(), fitted);
+  EXPECT_LT(budget.used(), table.memory_bytes());
+  table.Clear();
+  EXPECT_EQ(budget.used(), 0u);
+  EXPECT_TRUE(table.over_budget());  // latched until re-attached
+}
+
+TEST(JoinHashTableTest, RowLimitLatchesFullAndDropsTheBatch) {
+  Relation rel = MakeKv({{1, 10}, {2, 20}, {3, 30}});
+  JoinHashTable table(TestSchema(), 0);
+  table.set_max_rows(4);
+  table.InsertBatch(rel.raw_data(), 3);
+  EXPECT_FALSE(table.full());
+  table.InsertBatch(rel.raw_data(), 3);  // 6 > 4: refused whole
+  EXPECT_TRUE(table.full());
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.Probe(1, [](const TupleRef&) {}), 1u);
+  table.set_max_rows(size_t{1} << 40);
+  EXPECT_EQ(table.max_rows(), JoinHashTable::kMaxRows);
 }
 
 // --- ScanOp --------------------------------------------------------------------
@@ -271,6 +451,16 @@ TEST(SimpleHashJoinTest, TracksPeakMemory) {
   RecordingContext ctx(join.output_schema());
   join.Consume(SimpleHashJoinOp::kBuildPort, ToBatch(left), &ctx);
   EXPECT_GT(join.peak_memory_bytes(), 0u);
+}
+
+TEST(SimpleHashJoinTest, RowLimitReportsResourceExhausted) {
+  Relation left = MakeKv({{1, 10}, {2, 20}, {3, 30}});
+  SimpleHashJoinOp join(KvJoinSpec());
+  join.mutable_table()->set_max_rows(2);
+  RecordingContext ctx(join.output_schema());
+  join.Consume(SimpleHashJoinOp::kBuildPort, ToBatch(left), &ctx);
+  EXPECT_EQ(ctx.error.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(ctx.error.message().find("row limit"), std::string::npos);
 }
 
 // --- PipeliningHashJoinOp ----------------------------------------------------------

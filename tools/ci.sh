@@ -147,10 +147,14 @@ MJOIN_CHAOS_ITERS=2 tools/run_sanitized_tests.sh thread \
   skew_test workload_test
 
 echo "== ci: address sanitizer =="
+# operators_test, engine_test and golden_result_test put the join hash
+# table's slot/duplicate-link indexing and the word-at-a-time result
+# digest under ASan.
 MJOIN_CHAOS_ITERS=2 tools/run_sanitized_tests.sh address \
   thread_metrics_test net_wire_test shm_ring_test \
   process_backend_fault_test process_chaos_test serve_test \
-  warm_fleet_test plan_cache_test skew_test workload_test
+  warm_fleet_test plan_cache_test skew_test workload_test \
+  operators_test engine_test golden_result_test
 
 echo "== ci: undefined-behavior sanitizer =="
 # Full suite; the chaos sweep stays bounded so the UBSan pass does not

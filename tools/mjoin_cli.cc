@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -61,14 +62,22 @@ struct Args {
     return it == flags.end() ? fallback : it->second;
   }
   int GetInt(const std::string& key, int fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atoi(it->second.c_str());
+    return GetNumber(key, fallback);
+  }
+  /// Byte counts: non-negative, 64-bit.
+  uint64_t GetBytes(const std::string& key, uint64_t fallback) const {
+    return GetNumber(key, fallback);
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    return GetNumber(key, fallback);
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
+
+ private:
+  /// A value that is not wholly a number of type T is a usage error:
+  /// report it and exit 2.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback) const;
 };
 
 int Usage() {
@@ -142,6 +151,19 @@ int Usage() {
       "  --diagram          also prints the wall-clock utilization diagram\n"
       "                     (implies trace recording)\n");
   return 2;
+}
+
+template <typename T>
+T Args::GetNumber(const std::string& key, T fallback) const {
+  auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  std::optional<T> value = ParseNumber<T>(it->second);
+  if (!value) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(),
+                 it->second.c_str());
+    std::exit(Usage());
+  }
+  return *value;
 }
 
 bool ParseShape(const std::string& text, QueryShape* shape) {
@@ -306,18 +328,21 @@ int RunAndReport(const ParallelPlan& plan, const Common& common,
   return 0;
 }
 
-void PrintThreadStats(const ThreadExecStats& stats) {
+void PrintThreadStats(const ThreadExecStats& stats, size_t budget_bytes) {
+  const std::string budget =
+      budget_bytes == 0 ? "unlimited" : StrCat(budget_bytes, " bytes");
   std::printf(
       "batches: %llu sent, %llu processed, %llu dropped, %llu duplicated\n"
       "queues:  peak depth %llu, %llu overflow escapes\n"
-      "memory:  peak %llu bytes\n",
+      "memory:  peak %llu bytes, budget %s\n",
       static_cast<unsigned long long>(stats.batches_sent),
       static_cast<unsigned long long>(stats.batches_processed),
       static_cast<unsigned long long>(stats.batches_dropped),
       static_cast<unsigned long long>(stats.batches_duplicated),
       static_cast<unsigned long long>(stats.peak_queue_depth),
       static_cast<unsigned long long>(stats.queue_overflows),
-      static_cast<unsigned long long>(stats.peak_memory_bytes));
+      static_cast<unsigned long long>(stats.peak_memory_bytes),
+      budget.c_str());
 }
 
 // `run --backend thread|process`: execute the plan on real OS threads or
@@ -361,7 +386,7 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
   options.max_queued_batches =
       static_cast<size_t>(args.GetInt("max-queue", 0));
   options.memory_budget_bytes =
-      static_cast<size_t>(args.GetInt("budget", 0));
+      static_cast<size_t>(args.GetBytes("budget", 0));
   if (args.Has("deadline-ms")) {
     options.deadline = std::chrono::milliseconds(args.GetInt("deadline-ms", 0));
   }
@@ -429,7 +454,7 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
   if (!run.ok()) {
     std::fprintf(stderr, "%s\npartial progress before abort:\n",
                  run.status().ToString().c_str());
-    PrintThreadStats(stats);
+    PrintThreadStats(stats, options.memory_budget_bytes);
     if (scenario.kind != FaultKind::kNone ||
         net_scenario.kind != NetFaultKind::kNone) {
       // Everything in both injectors is seed-deterministic: these two
@@ -470,7 +495,7 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
         plan.strategy.c_str(), plan.num_processors, run->wall_seconds,
         static_cast<unsigned long long>(run->result.cardinality));
   }
-  PrintThreadStats(run->stats);
+  PrintThreadStats(run->stats, options.memory_budget_bytes);
   if (process_backend && (proc.attempts > 1 || proc.degraded_to_thread)) {
     std::printf("recovery: %u attempts, %u retries%s\n", proc.attempts,
                 proc.retries,

@@ -18,12 +18,15 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "engine/database.h"
 #include "engine/reference.h"
 #include "plan/wisconsin_query.h"
@@ -48,10 +51,19 @@ struct Args {
     return it == flags.end() ? fallback : it->second;
   }
   long GetInt(const std::string& key, long fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atol(it->second.c_str());
+    return GetNumber(key, fallback);
+  }
+  /// Byte counts: non-negative, 64-bit.
+  uint64_t GetBytes(const std::string& key, uint64_t fallback) const {
+    return GetNumber(key, fallback);
   }
   bool Has(const std::string& key) const { return flags.contains(key); }
+
+ private:
+  /// A value that is not wholly a number of type T is a usage error:
+  /// report it and exit 2.
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback) const;
 };
 
 int Usage() {
@@ -81,6 +93,19 @@ int Usage() {
       "selftest:\n"
       "  --relations/--card small database for the end-to-end check\n");
   return 2;
+}
+
+template <typename T>
+T Args::GetNumber(const std::string& key, T fallback) const {
+  auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  std::optional<T> value = ParseNumber<T>(it->second);
+  if (!value) {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(),
+                 it->second.c_str());
+    std::exit(Usage());
+  }
+  return *value;
 }
 
 bool ParseShape(const std::string& text, QueryShape* shape) {
@@ -131,7 +156,7 @@ int RunServe(const Args& args) {
   options.socket_path = socket;
   options.exec_threads = static_cast<uint32_t>(args.GetInt("exec-threads", 2));
   options.admission_budget_bytes =
-      static_cast<uint64_t>(args.GetInt("budget", 1ll << 30));
+      args.GetBytes("budget", uint64_t{1} << 30);
   options.plan_cache_capacity = static_cast<size_t>(args.GetInt("cache", 64));
   options.enable_process_backend = !args.Has("no-process");
   options.fleet.num_workers = static_cast<uint32_t>(args.GetInt("workers", 4));
@@ -193,8 +218,7 @@ int RunSubmit(const Args& args) {
   submit.plan_text = *plan_text;
   submit.batch_size = static_cast<uint32_t>(args.GetInt("batch", 256));
   submit.deadline_ms = args.GetInt("deadline-ms", 0);
-  submit.memory_budget_bytes =
-      static_cast<uint64_t>(args.GetInt("query-budget", 0));
+  submit.memory_budget_bytes = args.GetBytes("query-budget", 0);
   for (long i = 0; i < count; ++i) {
     submit.client_seq = static_cast<uint64_t>(i);
     if (Status s = client.value()->Submit(submit); !s.ok()) {
@@ -314,7 +338,9 @@ int main(int argc, char** argv) {
     } else if (i + 1 < argc && argv[i + 1][0] != '-') {
       args.flags[arg] = argv[++i];
     } else {
-      args.flags[arg] = "1";
+      // Not a bare literal: GCC 12 reports a false -Wrestrict on
+      // assigning one here in the Release -Werror build.
+      args.flags[arg] = std::string("1");
     }
   }
   if (args.command == "serve") return RunServe(args);
