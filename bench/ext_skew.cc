@@ -169,7 +169,6 @@ HeadlineSide RunHeadlineSide(const Database& db, const ParallelPlan& plan,
     options.exec.record_trace = true;
     options.exec.skew_defense = BenchDefense(mode);
     options.num_workers = cfg.workers;
-    options.use_shm_data_plane = true;
     auto run = processes.Execute(plan, options);
     MJOIN_CHECK(run.ok()) << run.status();
     MJOIN_CHECK(run->exec.result == reference)

@@ -1,18 +1,15 @@
-// Network-layer throughput suite for the process backend, in three tiers
+// Network-layer throughput suite for the process backend, in two tiers
 // (results written as JSON, committed as BENCH_net.json):
 //
-//   codec:  AppendBatchWire / ReadBatchWire bytes-per-second on a
-//           Wisconsin-row batch, per batch size — the pure serialization
-//           cost every remote delivery pays.
 //   socket: whole frames pumped through a FrameChannel pair over a real
 //           AF_UNIX socketpair, single-threaded (queue/flush one end, read
 //           the other), so the figure includes framing, syscalls, and
-//           reassembly but no scheduler noise.
+//           reassembly but no scheduler noise — the control channel's
+//           cost.
 //   query:  FP left-linear end to end — thread backend vs the process
-//           backend over its two data planes (all-socket and shared-memory
-//           rings) at the same batch size: what shared-nothing isolation
-//           costs on a real plan, and how much of it the shm plane buys
-//           back, with the wire traffic each run generated.
+//           backend over its shared-memory ring data plane at the same
+//           batch size: what shared-nothing isolation costs on a real
+//           plan, with the traffic the run generated.
 //
 // Flags: --smoke (tiny sweep, 1 rep — the CI guard),
 //        --out=FILE (default BENCH_net.json),
@@ -31,7 +28,6 @@
 #include "engine/process_executor.h"
 #include "engine/thread_executor.h"
 #include "net/channel.h"
-#include "net/wire.h"
 #include "plan/wisconsin_query.h"
 #include "strategy/strategy.h"
 
@@ -47,7 +43,6 @@ struct Config {
   uint32_t processors = 8;
   uint32_t workers = 0;  // 0 = one per processor
   int reps = 3;
-  uint64_t codec_bytes = 256ull << 20;   // bytes to push through the codec
   uint64_t socket_bytes = 128ull << 20;  // bytes to push through the socket
 };
 
@@ -65,69 +60,6 @@ ParallelPlan MakePlan(const Config& cfg) {
                   ->Parallelize(*query, cfg.processors, TotalCostModel());
   MJOIN_CHECK(plan.ok()) << plan.status();
   return *std::move(plan);
-}
-
-TupleBatch MakeBatch(const SchemaRegistry& registry, uint32_t schema_id,
-                     size_t rows) {
-  TupleBatch batch(registry.Get(schema_id));
-  const uint32_t tuple_size = batch.schema().tuple_size();
-  std::vector<std::byte> row(tuple_size);
-  for (size_t r = 0; r < rows; ++r) {
-    for (uint32_t b = 0; b < tuple_size; ++b) {
-      row[b] = static_cast<std::byte>((r * 131 + b * 7) & 0xff);
-    }
-    batch.AppendRow(row.data());
-  }
-  return batch;
-}
-
-struct CodecRow {
-  size_t rows_per_batch = 0;
-  size_t wire_bytes_per_batch = 0;
-  double serialize_bytes_per_sec = 0;
-  double deserialize_bytes_per_sec = 0;
-};
-
-CodecRow BenchCodec(const ParallelPlan& plan, size_t rows_per_batch,
-                    const Config& cfg) {
-  SchemaRegistry registry(plan);
-  TupleBatch batch = MakeBatch(registry, 0, rows_per_batch);
-
-  CodecRow row;
-  row.rows_per_batch = rows_per_batch;
-  row.wire_bytes_per_batch =
-      BatchWireSize(batch.schema().tuple_size(), rows_per_batch);
-  const uint64_t iters =
-      std::max<uint64_t>(1, cfg.codec_bytes / row.wire_bytes_per_batch);
-
-  std::vector<std::byte> wire;
-  double best_ser = 0;
-  for (int rep = 0; rep < cfg.reps; ++rep) {
-    double start = Now();
-    for (uint64_t i = 0; i < iters; ++i) {
-      wire.clear();
-      AppendBatchWire(batch, /*schema_id=*/0, &wire);
-    }
-    double elapsed = Now() - start;
-    if (best_ser == 0 || elapsed < best_ser) best_ser = elapsed;
-  }
-  row.serialize_bytes_per_sec =
-      static_cast<double>(iters * row.wire_bytes_per_batch) / best_ser;
-
-  double best_de = 0;
-  TupleBatch decoded(registry.Get(0));
-  for (int rep = 0; rep < cfg.reps; ++rep) {
-    double start = Now();
-    for (uint64_t i = 0; i < iters; ++i) {
-      WireReader reader(wire);
-      MJOIN_CHECK(ReadBatchWire(&reader, registry, &decoded).ok());
-    }
-    double elapsed = Now() - start;
-    if (best_de == 0 || elapsed < best_de) best_de = elapsed;
-  }
-  row.deserialize_bytes_per_sec =
-      static_cast<double>(iters * row.wire_bytes_per_batch) / best_de;
-  return row;
 }
 
 struct SocketRow {
@@ -159,7 +91,7 @@ SocketRow BenchSocket(size_t payload_bytes, const Config& cfg) {
       // Keep roughly a megabyte in flight, then drain the other end —
       // the coordinator's flush/read cadence in miniature.
       while (sent < row.frames && tx.pending_output_bytes() < (1u << 20)) {
-        tx.QueueFrame(FrameType::kData, payload);
+        tx.QueueFrame(FrameType::kOpStats, payload);
         ++sent;
       }
       MJOIN_CHECK(tx.Flush().ok());
@@ -182,7 +114,6 @@ struct ProcessRow {
   uint32_t workers = 0;
   uint64_t bytes_sent = 0;
   uint64_t bytes_received = 0;
-  uint64_t data_frames_routed = 0;
   uint64_t local_deliveries = 0;
   double serialize_seconds = 0;
   double deserialize_seconds = 0;
@@ -194,12 +125,11 @@ struct ProcessRow {
 
 struct QueryRow {
   double thread_wall = 0;
-  ProcessRow socket_plane;  // use_shm_data_plane = false
-  ProcessRow shm_plane;     // use_shm_data_plane = true
+  ProcessRow shm_plane;
 };
 
 ProcessRow BenchProcess(const Database& db, const ParallelPlan& plan,
-                        const Config& cfg, bool use_shm) {
+                        const Config& cfg) {
   ProcessRow row;
   ProcessExecutor processes(&db);
   for (int rep = 0; rep < cfg.reps; ++rep) {
@@ -207,7 +137,6 @@ ProcessRow BenchProcess(const Database& db, const ParallelPlan& plan,
     options.exec.batch_size = cfg.batch_size;
     options.exec.collect_metrics = false;
     options.num_workers = cfg.workers;
-    options.use_shm_data_plane = use_shm;
     auto run = processes.Execute(plan, options);
     MJOIN_CHECK(run.ok()) << run.status();
     if (row.wall == 0 || run->exec.wall_seconds < row.wall) {
@@ -216,7 +145,6 @@ ProcessRow BenchProcess(const Database& db, const ParallelPlan& plan,
     row.workers = run->net.num_workers;
     row.bytes_sent = run->net.bytes_sent;
     row.bytes_received = run->net.bytes_received;
-    row.data_frames_routed = run->net.data_frames_routed;
     row.local_deliveries = run->net.local_deliveries;
     row.serialize_seconds = run->net.serialize_seconds;
     row.deserialize_seconds = run->net.deserialize_seconds;
@@ -244,8 +172,7 @@ QueryRow BenchQuery(const Database& db, const ParallelPlan& plan,
     }
   }
 
-  row.socket_plane = BenchProcess(db, plan, cfg, /*use_shm=*/false);
-  row.shm_plane = BenchProcess(db, plan, cfg, /*use_shm=*/true);
+  row.shm_plane = BenchProcess(db, plan, cfg);
   return row;
 }
 
@@ -257,7 +184,6 @@ int Main(int argc, char** argv) {
       cfg.smoke = true;
       cfg.cardinality = 400;
       cfg.reps = 1;
-      cfg.codec_bytes = 8ull << 20;
       cfg.socket_bytes = 8ull << 20;
     } else if (arg.rfind("--out=", 0) == 0) {
       cfg.out = arg.substr(6);
@@ -273,16 +199,6 @@ int Main(int argc, char** argv) {
                                       /*seed=*/7);
   ParallelPlan plan = MakePlan(cfg);
 
-  std::vector<CodecRow> codec;
-  for (size_t rows : {64u, 256u, 4096u}) {
-    CodecRow r = BenchCodec(plan, rows, cfg);
-    std::fprintf(stderr,
-                 "codec  %5zu rows/batch  ser %7.0f MB/s  deser %7.0f MB/s\n",
-                 r.rows_per_batch, r.serialize_bytes_per_sec / 1e6,
-                 r.deserialize_bytes_per_sec / 1e6);
-    codec.push_back(r);
-  }
-
   std::vector<SocketRow> socket;
   for (size_t payload : {size_t{256}, size_t{4096}, size_t{65536}}) {
     SocketRow r = BenchSocket(payload, cfg);
@@ -294,9 +210,9 @@ int Main(int argc, char** argv) {
 
   QueryRow query = BenchQuery(db, plan, cfg);
   std::fprintf(stderr,
-               "query  thread %.4fs  process/socket %.4fs  process/shm %.4fs "
+               "query  thread %.4fs  process/shm %.4fs "
                "(%u workers, %u rings, %llu shm records, %llu ring stalls)\n",
-               query.thread_wall, query.socket_plane.wall, query.shm_plane.wall,
+               query.thread_wall, query.shm_plane.wall,
                query.shm_plane.workers, query.shm_plane.shm_rings,
                static_cast<unsigned long long>(query.shm_plane.shm_records_sent),
                static_cast<unsigned long long>(query.shm_plane.ring_full_stalls));
@@ -309,20 +225,9 @@ int Main(int argc, char** argv) {
   std::fprintf(f,
                "{\n  \"config\": {\"relations\": %d, \"cardinality\": %u, "
                "\"processors\": %u, \"batch_size\": %u, \"reps\": %d, "
-               "\"smoke\": %s},\n  \"codec\": [\n",
+               "\"smoke\": %s},\n  \"socket\": [\n",
                cfg.relations, cfg.cardinality, cfg.processors, cfg.batch_size,
                cfg.reps, cfg.smoke ? "true" : "false");
-  for (size_t i = 0; i < codec.size(); ++i) {
-    const CodecRow& r = codec[i];
-    std::fprintf(f,
-                 "    {\"rows_per_batch\": %zu, \"wire_bytes\": %zu, "
-                 "\"serialize_bytes_per_sec\": %.0f, "
-                 "\"deserialize_bytes_per_sec\": %.0f}%s\n",
-                 r.rows_per_batch, r.wire_bytes_per_batch,
-                 r.serialize_bytes_per_sec, r.deserialize_bytes_per_sec,
-                 i + 1 < codec.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"socket\": [\n");
   for (size_t i = 0; i < socket.size(); ++i) {
     const SocketRow& r = socket[i];
     std::fprintf(f,
@@ -337,28 +242,22 @@ int Main(int argc, char** argv) {
       "  ],\n  \"query\": {\"strategy\": \"FP\", \"shape\": \"left linear\", "
       "\"thread_wall_seconds\": %.6f,\n",
       query.thread_wall);
-  auto write_plane = [f](const char* key, const ProcessRow& r, bool last) {
-    std::fprintf(
-        f,
-        "    \"%s\": {\"wall_seconds\": %.6f, \"workers\": %u, "
-        "\"bytes_sent\": %llu, \"bytes_received\": %llu, "
-        "\"data_frames_routed\": %llu, \"local_deliveries\": %llu, "
-        "\"serialize_seconds\": %.6f, \"deserialize_seconds\": %.6f, "
-        "\"shm_rings\": %u, \"shm_records_sent\": %llu, "
-        "\"shm_bytes_sent\": %llu, \"ring_full_stalls\": %llu}%s\n",
-        key, r.wall, r.workers,
-        static_cast<unsigned long long>(r.bytes_sent),
-        static_cast<unsigned long long>(r.bytes_received),
-        static_cast<unsigned long long>(r.data_frames_routed),
-        static_cast<unsigned long long>(r.local_deliveries),
-        r.serialize_seconds, r.deserialize_seconds, r.shm_rings,
-        static_cast<unsigned long long>(r.shm_records_sent),
-        static_cast<unsigned long long>(r.shm_bytes_sent),
-        static_cast<unsigned long long>(r.ring_full_stalls),
-        last ? "" : ",");
-  };
-  write_plane("process_socket", query.socket_plane, /*last=*/false);
-  write_plane("process_shm", query.shm_plane, /*last=*/true);
+  const ProcessRow& r = query.shm_plane;
+  std::fprintf(
+      f,
+      "    \"process_shm\": {\"wall_seconds\": %.6f, \"workers\": %u, "
+      "\"bytes_sent\": %llu, \"bytes_received\": %llu, "
+      "\"local_deliveries\": %llu, "
+      "\"serialize_seconds\": %.6f, \"deserialize_seconds\": %.6f, "
+      "\"shm_rings\": %u, \"shm_records_sent\": %llu, "
+      "\"shm_bytes_sent\": %llu, \"ring_full_stalls\": %llu}\n",
+      r.wall, r.workers, static_cast<unsigned long long>(r.bytes_sent),
+      static_cast<unsigned long long>(r.bytes_received),
+      static_cast<unsigned long long>(r.local_deliveries),
+      r.serialize_seconds, r.deserialize_seconds, r.shm_rings,
+      static_cast<unsigned long long>(r.shm_records_sent),
+      static_cast<unsigned long long>(r.shm_bytes_sent),
+      static_cast<unsigned long long>(r.ring_full_stalls));
   std::fprintf(f, "  }\n}\n");
   std::fclose(f);
   std::fprintf(stderr, "wrote %s\n", cfg.out.c_str());

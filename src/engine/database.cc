@@ -4,6 +4,7 @@
 #include "common/string_util.h"
 #include "storage/wisconsin.h"
 #include "storage/zipf.h"
+#include "xra/plan.h"
 
 namespace mjoin {
 
@@ -21,6 +22,29 @@ StatusOr<const Relation*> Database::Get(const std::string& name) const {
     return Status::NotFound(StrCat("no relation '", name, "'"));
   }
   return &it->second;
+}
+
+Status CheckPlanCatalog(const ParallelPlan& plan, const Database& db) {
+  for (const XraOp& o : plan.ops) {
+    const Schema* actual = nullptr;
+    if (o.kind == XraOpKind::kScan) {
+      MJOIN_ASSIGN_OR_RETURN(const Relation* base, db.Get(o.relation));
+      actual = &base->schema();
+    } else if (o.kind == XraOpKind::kRescan) {
+      for (const XraOp& storer : plan.ops) {
+        if (storer.store_result == o.stored_result) {
+          actual = storer.output_schema.get();
+        }
+      }
+    }
+    if (actual != nullptr && !(*actual == *o.output_schema)) {
+      return Status::InvalidArgument(
+          StrCat(XraOpKindName(o.kind), " ", o.id, " declares schema ",
+                 o.output_schema->ToString(), " but reads ",
+                 actual->ToString()));
+    }
+  }
+  return Status::OK();
 }
 
 size_t Database::TotalBytes() const {

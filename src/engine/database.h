@@ -9,6 +9,8 @@
 
 namespace mjoin {
 
+struct ParallelPlan;
+
 /// A named collection of main-memory base relations (the "database" of one
 /// experiment). Relations are owned by the database; executors fragment
 /// them per query according to the plan's placement.
@@ -35,6 +37,15 @@ class Database {
  private:
   std::map<std::string, Relation> relations_;
 };
+
+/// InvalidArgument unless every scan of `plan` reads a relation of `db`
+/// (NotFound when it names none) whose schema is exactly the one the scan
+/// declares, and every rescan
+/// declares the schema of the result it reads. Plan text from a client may
+/// name any relation and any columns, so executors bind each plan here,
+/// once, before they partition or ship anything.
+[[nodiscard]] Status CheckPlanCatalog(const ParallelPlan& plan,
+                                      const Database& db);
 
 /// Builds the paper's test database: `num_relations` Wisconsin relations
 /// named rel0..relN-1 of `cardinality` tuples each, generated from

@@ -20,9 +20,9 @@ class NetFaultInjector;
 /// injector, observability) are the thread backend's, reinterpreted for a
 /// process fleet:
 ///
-///   - max_queued_batches becomes the coordinator's credit window per
-///     worker: at most this many routed data frames are un-acknowledged at
-///     one worker (0 = unbounded);
+///   - max_queued_batches has no process-backend meaning: in-flight data
+///     is bounded by the shm rings themselves (shm_ring_bytes per worker
+///     pair) plus each worker's ring backlog watermark;
 ///   - memory_budget_bytes applies *per worker process* — a shared-nothing
 ///     node meters its own memory, so the query-wide ceiling is the value
 ///     times the number of workers;
@@ -70,13 +70,13 @@ struct ProcessExecOptions {
   /// spans retries, so a one-shot fault breaks one attempt and lets the
   /// next run clean.
   NetFaultInjector* net_fault_injector = nullptr;
-  /// Move data batches, EOS markers, fragments, and result rows over
+  /// Data batches, EOS markers, fragments, and result rows move over
   /// mmap'd SPSC rings shared by the whole fleet (control frames stay on
-  /// the socket). Workers exchange data pairwise — the coordinator stops
-  /// relaying batches entirely. Off = the pre-ring all-socket data path.
-  bool use_shm_data_plane = true;
-  /// Data bytes per ring; power of two >= 4096. Rings are torn down and
-  /// re-mapped per attempt, so a retried fleet starts from zeroed rings.
+  /// the socket); workers exchange data pairwise. Data bytes per ring;
+  /// power of two >= 4096. A plan whose widest row does not fit one ring
+  /// record is refused with InvalidArgument before anything is shipped.
+  /// Rings are torn down and re-mapped per attempt, so a retried fleet
+  /// starts from zeroed rings.
   uint32_t shm_ring_bytes = 1u << 18;
 };
 
@@ -131,27 +131,20 @@ struct ProcessNetStats {
   uint64_t bytes_received = 0;
   uint64_t frames_sent = 0;
   uint64_t frames_received = 0;
-  /// Worker->worker data frames relayed by the coordinator.
-  uint64_t data_frames_routed = 0;
-  /// Frames that had to wait in a per-destination hold queue because the
-  /// destination's credit window was exhausted.
-  uint64_t credit_stalls = 0;
-  /// Peak depth of any single hold queue.
-  size_t peak_held_frames = 0;
   /// Batches delivered entirely inside one worker (never serialized).
   uint64_t local_deliveries = 0;
-  /// Times a worker deferred pumping its sources because its outbox was
-  /// over the watermark.
+  /// Times a worker deferred pumping its sources because its ring backlog
+  /// was over the watermark.
   uint64_t pump_stalls = 0;
   /// Faults actually fired by the per-worker injectors (summed; the
   /// coordinator-side FaultInjector object never fires in this backend).
   uint64_t faults_injected = 0;
-  /// Worker-side wire codec time (summed over workers). On the shm plane
-  /// this is the ring memcpy time — the codec degenerates to the copy.
+  /// Worker-side ring copy time (summed over workers): the memcpy of rows
+  /// onto and off the rings.
   double serialize_seconds = 0;
   double deserialize_seconds = 0;
   /// Shm data plane: rings mapped for the attempt that produced the
-  /// result (0 = plane off), records/bytes over all rings (workers'
+  /// result, records/bytes over all rings (workers'
   /// counters plus the coordinator's own fragment/result traffic), and
   /// records that found their ring full and were parked in a backlog.
   uint32_t shm_rings = 0;
@@ -177,12 +170,12 @@ std::string RenderProcessNetStats(const ProcessNetStats& net);
 /// Executes parallel plans on a fleet of worker *processes* — the
 /// shared-nothing backend. Where the thread backend substitutes one thread
 /// per simulated processor, this backend forks one single-threaded worker
-/// process per group of processors and exchanges tuple batches as
-/// wire-format frames over Unix-domain socketpairs, routed through the
-/// coordinator (a star topology, like PRISMA/DB's communication
-/// processor). Nothing is shared post-fork: workers receive the plan as
-/// textual XRA, re-hydrate their operators from it, and hold only their
-/// own fragments.
+/// process per group of processors. Control frames (plan, triggers,
+/// milestones, reports) travel over one Unix-domain socketpair per worker
+/// to the coordinator; tuple batches travel pairwise between workers over
+/// shared-memory SPSC rings. No heap state is shared post-fork: workers
+/// receive the plan as textual XRA, re-hydrate their operators from it,
+/// and hold only their own fragments.
 ///
 /// Failure model: a worker that dies mid-query (crash, OOM kill, kill -9)
 /// is detected by its socket closing; a worker that wedges silently is

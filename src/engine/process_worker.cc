@@ -38,10 +38,9 @@ namespace mjoin {
 
 namespace {
 
-/// Outbound bytes queued at which the worker stops pumping its sources and
-/// lets the socket drain first — the worker-side half of flow control (the
-/// coordinator-side half is the credit window).
-constexpr size_t kOutboxWatermark = 4u << 20;
+/// Ring-backlog bytes at which the worker stops pumping its sources and
+/// lets its consumers drain the rings first (the worker's flow control).
+constexpr size_t kRingBacklogWatermark = 4u << 20;
 
 /// Same work-type mapping as the thread backend (its copies live in an
 /// anonymous namespace); kept byte-identical so the two backends bucket
@@ -104,8 +103,8 @@ class WorkerRun;
 /// One hosted operation process. The whole worker is one thread, so the
 /// state needs no locking; output leaves through the same EmitWriter
 /// zero-copy channel the thread backend uses — rows are built in the
-/// pending destination batch and touched again only by the one serializing
-/// copy onto the wire (or not at all for a local consumer).
+/// pending destination batch and touched again only by the one copy onto
+/// a ring (or not at all for a local consumer).
 class WorkerInstance : public OpContext, public EmitSink {
  public:
   WorkerInstance(WorkerRun* run, int op_id, uint32_t index, uint32_t processor)
@@ -144,7 +143,7 @@ class WorkerInstance : public OpContext, public EmitSink {
   std::vector<TupleBatch> out_pending;
   EmitWriter writer;
   bool writer_ready = false;
-  /// Wire schema id of out_pending's layout (only used on remote sends).
+  /// Ring schema id of out_pending's layout (only used on remote sends).
   uint32_t out_schema_id = 0;
   std::deque<std::function<void()>> pre_start;
   /// Installed on probe-edge producers when a skew directive arrives;
@@ -229,9 +228,6 @@ class WorkerRun {
 
   Status HandleFrame(const Frame& frame);
   Status HandleTrigger(const Frame& frame);
-  Status HandleFragment(const Frame& frame);
-  Status HandleData(const Frame& frame);
-  Status HandleEos(const Frame& frame);
   Status SendFinishReports();
 
   void TriggerInstance(WorkerInstance* inst);
@@ -248,16 +244,10 @@ class WorkerRun {
   void ApplyDirectiveTo(WorkerInstance* inst, const SkewDirective& directive);
   void AfterCallback(WorkerInstance* inst);
   void FinishInstance(WorkerInstance* inst);
-  void SendEosTo(int producer_op, int consumer_op, uint32_t dest, int port);
+  void SendEosTo(int consumer_op, uint32_t dest, int port);
   void QueueMilestone(int op_id, uint32_t index, Milestone milestone);
 
-  // -- shm data plane (all no-ops when plane_ is null) --------------------
-  /// Whether this op's remote sends travel over rings. Decided once in
-  /// Setup so an edge never mixes ring records and socket frames, which
-  /// would reorder data against its own EOS.
-  bool UseRingFor(int producer_op) const {
-    return plane_ != nullptr && op_ring_ok_[static_cast<size_t>(producer_op)];
-  }
+  // -- shm data plane -----------------------------------------------------
   uint32_t WorkerOf(uint32_t processor) const {
     return WorkerOfProcessor(processor, env_.num_workers,
                              plan_.num_processors);
@@ -301,18 +291,15 @@ class WorkerRun {
   Status run_status_;
   bool observe_ = false;
   bool shutdown_ = false;
-  uint32_t credits_ = 0;
   WorkerRunStats stats_;
   std::vector<WireTraceEvent> trace_events_;
 
-  /// Inherited shm data plane; null means every payload rides the socket.
+  /// The query's shm data plane (inherited or laid over the fleet arena).
   ShmDataPlane* plane_;
   /// The coordinator's endpoint id in the ring directory.
   const uint32_t coord_ep_;
-  /// Largest record payload any ring accepts (0 when plane_ is null).
+  /// Largest record payload any ring accepts.
   uint32_t shm_max_payload_ = 0;
-  /// Per-op: this op's output rows fit in one ring record.
-  std::vector<bool> op_ring_ok_;
   struct ShmBacklogRecord {
     ShmRecordType type;
     std::vector<std::byte> bytes;  // header + rows, render-complete
@@ -357,18 +344,11 @@ Status WorkerRun::Setup() {
       defended_[static_cast<size_t>(id)] = true;
     }
   }
-  op_ring_ok_.assign(plan_.ops.size(), false);
-  if (plane_ != nullptr) {
-    shm_max_payload_ =
-        plane_->ring_bytes() / 2 - kShmRecordHdrBytes * 2;
-    doorbell_dirty_.assign(plane_->num_endpoints(), false);
-    for (const XraOp& o : plan_.ops) {
-      if (o.consumer < 0 || o.store_result >= 0) continue;
-      op_ring_ok_[static_cast<size_t>(o.id)] =
-          sizeof(ShmDataHeader) + o.output_schema->tuple_size() <=
-          shm_max_payload_;
-    }
-  }
+  // The coordinator refuses such a plan before shipping it; re-checked
+  // here so a worker can never loop on a zero-rows-per-record chunking.
+  MJOIN_RETURN_IF_ERROR(CheckRingFit(plan_, plane_->ring_bytes()));
+  shm_max_payload_ = plane_->ring_bytes() / 2 - kShmRecordHdrBytes * 2;
+  doorbell_dirty_.assign(plane_->num_endpoints(), false);
   if (!env_.fault_scenario.empty()) {
     MJOIN_ASSIGN_OR_RETURN(FaultScenario scenario,
                            ParseFaultScenario(env_.fault_scenario));
@@ -602,59 +582,39 @@ void WorkerRun::FlushDest(WorkerInstance* inst, uint32_t dest) {
     }
     return;
   }
-  // Remote consumer: one serializing copy. The copy is timed whether or
-  // not metrics collection is on — transport cost is what the net bench
-  // exists to surface, so the timers must not vanish with observability
-  // (they used to be observe_-gated, which reported 0.0s for any run with
-  // collect_metrics off). RecordTrace stays trace-gated internally.
+  // Remote consumer: "serialize" is a bounds-checked memcpy of the raw
+  // rows onto the ring, chunked so every record fits one reservation. The
+  // copy is timed whether or not metrics collection is on — transport cost
+  // is what the net counters exist to surface. RecordTrace stays
+  // trace-gated internally.
   const uint32_t tuple_size = pending.schema().tuple_size();
   int64_t t0 = NowNs();
-  if (UseRingFor(inst->op_id_)) {
-    // Ring path: "serialize" degenerates to a bounds-checked memcpy of the
-    // raw rows, chunked so every record fits one ring reservation.
-    const uint32_t dest_ep = WorkerOf(consumer_op.processors[dest]);
-    const size_t rows_per_record =
-        (shm_max_payload_ - sizeof(ShmDataHeader)) / tuple_size;
-    for (int c = 0; c < copies; ++c) {
-      size_t offset = 0;
-      while (offset < pending.num_tuples()) {
-        size_t count =
-            std::min(rows_per_record, pending.num_tuples() - offset);
-        ShmDataHeader hdr;
-        hdr.consumer_op = o.consumer;
-        hdr.dest_index = dest;
-        hdr.port = static_cast<uint32_t>(port);
-        hdr.schema_id = inst->out_schema_id;
-        hdr.tuple_size = tuple_size;
-        hdr.num_tuples = static_cast<uint32_t>(count);
-        PushShmRecord(dest_ep, ShmRecordType::kData, &hdr, sizeof(hdr),
-                      pending.raw_data() + offset * tuple_size,
-                      count * tuple_size);
-        offset += count;
-      }
+  const uint32_t dest_ep = WorkerOf(consumer_op.processors[dest]);
+  const size_t rows_per_record =
+      (shm_max_payload_ - sizeof(ShmDataHeader)) / tuple_size;
+  for (int c = 0; c < copies; ++c) {
+    size_t offset = 0;
+    while (offset < pending.num_tuples()) {
+      size_t count = std::min(rows_per_record, pending.num_tuples() - offset);
+      ShmDataHeader hdr;
+      hdr.consumer_op = o.consumer;
+      hdr.dest_index = dest;
+      hdr.port = static_cast<uint32_t>(port);
+      hdr.schema_id = inst->out_schema_id;
+      hdr.tuple_size = tuple_size;
+      hdr.num_tuples = static_cast<uint32_t>(count);
+      PushShmRecord(dest_ep, ShmRecordType::kData, &hdr, sizeof(hdr),
+                    pending.raw_data() + offset * tuple_size,
+                    count * tuple_size);
+      offset += count;
     }
-  } else {
-    std::vector<std::byte> payload;
-    payload.reserve(9 + BatchWireSize(tuple_size, pending.num_tuples()));
-    EncodeRouteHeader(
-        RouteHeader{o.consumer, dest, static_cast<uint8_t>(port)}, &payload);
-    AppendBatchWire(pending, inst->out_schema_id, &payload);
-    for (int c = 0; c < copies; ++c) {
-      chan_->QueueFrame(FrameType::kData, payload);
-      ++stats_.data_frames_sent;
-    }
+    ++stats_.remote_batches;
   }
   int64_t t1 = NowNs();
   stats_.serialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
   RecordTrace(inst->processor_, t0, t1, ThreadWorkType::kSerialize,
               inst->op_id_);
   pending.Clear();
-  // Opportunistic drain keeps the outbox from ballooning inside one long
-  // Consume(); errors surface at the loop's next Flush.
-  if (chan_->pending_output_bytes() >= kOutboxWatermark) {
-    Status drained = chan_->Flush();
-    if (!drained.ok()) Abort(std::move(drained));
-  }
 }
 
 void WorkerRun::PushShmRecord(uint32_t dest_ep, ShmRecordType type,
@@ -854,8 +814,7 @@ void WorkerRun::AfterCallback(WorkerInstance* inst) {
   if (!inst->complete && inst->oper->finished()) FinishInstance(inst);
 }
 
-void WorkerRun::SendEosTo(int producer_op, int consumer_op, uint32_t dest,
-                          int port) {
+void WorkerRun::SendEosTo(int consumer_op, uint32_t dest, int port) {
   const XraOp& consumer = op(consumer_op);
   if (Hosts(consumer.processors[dest])) {
     WorkerInstance* target = instance(consumer_op, dest);
@@ -867,21 +826,14 @@ void WorkerRun::SendEosTo(int producer_op, int consumer_op, uint32_t dest,
     }
     return;
   }
-  // EOS follows the exact path its data took (same ring or same socket),
-  // so it can never overtake the last batch of the stream.
-  if (UseRingFor(producer_op)) {
-    ShmEosHeader hdr;
-    hdr.consumer_op = consumer_op;
-    hdr.dest_index = dest;
-    hdr.port = static_cast<uint32_t>(port);
-    PushShmRecord(WorkerOf(consumer.processors[dest]), ShmRecordType::kEos,
-                  &hdr, sizeof(hdr), nullptr, 0);
-    return;
-  }
-  std::vector<std::byte> payload;
-  EncodeRouteHeader(
-      RouteHeader{consumer_op, dest, static_cast<uint8_t>(port)}, &payload);
-  chan_->QueueFrame(FrameType::kEos, payload);
+  // EOS follows the exact ring its data took, so it can never overtake
+  // the last batch of the stream.
+  ShmEosHeader hdr;
+  hdr.consumer_op = consumer_op;
+  hdr.dest_index = dest;
+  hdr.port = static_cast<uint32_t>(port);
+  PushShmRecord(WorkerOf(consumer.processors[dest]), ShmRecordType::kEos,
+                &hdr, sizeof(hdr), nullptr, 0);
 }
 
 void WorkerRun::FinishInstance(WorkerInstance* inst) {
@@ -899,10 +851,10 @@ void WorkerRun::FinishInstance(WorkerInstance* inst) {
         consumer_op.inputs[o.consumer_port].routing == Routing::kHashSplit;
     if (networked) {
       for (uint32_t d = 0; d < consumer_op.processors.size(); ++d) {
-        SendEosTo(inst->op_id_, o.consumer, d, o.consumer_port);
+        SendEosTo(o.consumer, d, o.consumer_port);
       }
     } else {
-      SendEosTo(inst->op_id_, o.consumer, inst->index_, o.consumer_port);
+      SendEosTo(o.consumer, inst->index_, o.consumer_port);
     }
   }
   QueueMilestone(inst->op_id_, inst->index_, Milestone::kComplete);
@@ -931,94 +883,6 @@ Status WorkerRun::HandleTrigger(const Frame& frame) {
   return Status::OK();
 }
 
-Status WorkerRun::HandleFragment(const Frame& frame) {
-  WireReader reader(frame.payload);
-  FragmentHeader header;
-  MJOIN_RETURN_IF_ERROR(DecodeFragmentHeader(&reader, &header));
-  if (header.op < 0 || static_cast<size_t>(header.op) >= plan_.ops.size() ||
-      op(header.op).kind != XraOpKind::kScan) {
-    return Status::InvalidArgument(
-        StrCat("fragment for non-scan op ", header.op));
-  }
-  auto& frags = scan_fragments_[static_cast<size_t>(header.op)];
-  if (header.instance >= frags.size() ||
-      !Hosts(op(header.op).processors[header.instance])) {
-    return Status::InvalidArgument(
-        StrCat("fragment for op ", header.op, " instance ", header.instance,
-               " which this worker does not host"));
-  }
-  std::shared_ptr<TupleBatch> batch =
-      pool_->Acquire(op(header.op).output_schema);
-  MJOIN_RETURN_IF_ERROR(ReadBatchWire(&reader, registry_, batch.get()));
-  frags[header.instance].AppendRows(batch->raw_data(), batch->num_tuples());
-  return Status::OK();
-}
-
-Status WorkerRun::HandleData(const Frame& frame) {
-  WireReader reader(frame.payload);
-  RouteHeader route;
-  MJOIN_RETURN_IF_ERROR(DecodeRouteHeader(&reader, &route));
-  if (route.consumer_op < 0 ||
-      static_cast<size_t>(route.consumer_op) >= plan_.ops.size() ||
-      route.dest_index >= op(route.consumer_op).processors.size()) {
-    return Status::InvalidArgument("data frame routed to unknown instance");
-  }
-  const XraOp& consumer_op = op(route.consumer_op);
-  if (!Hosts(consumer_op.processors[route.dest_index])) {
-    return Status::InvalidArgument(
-        StrCat("data frame for op ", route.consumer_op, " instance ",
-               route.dest_index, " misrouted to worker ", env_.worker_id));
-  }
-  WorkerInstance* target = instance(route.consumer_op, route.dest_index);
-  if (injector_ != nullptr) injector_->OnDequeue(target->processor_);
-  // The initial schema binding is a placeholder — ReadBatchWire rebinds the
-  // batch to the wire frame's registry schema.
-  std::shared_ptr<TupleBatch> batch =
-      pool_->Acquire(consumer_op.output_schema);
-  // Timed unconditionally, like the serialize side: the wire-time counters
-  // must survive collect_metrics=false (the bench's configuration).
-  int64_t t0 = NowNs();
-  MJOIN_RETURN_IF_ERROR(ReadBatchWire(&reader, registry_, batch.get()));
-  int64_t t1 = NowNs();
-  stats_.deserialize_seconds += static_cast<double>(t1 - t0) * 1e-9;
-  RecordTrace(target->processor_, t0, t1, ThreadWorkType::kDeserialize,
-              route.consumer_op);
-  int port = route.port;
-  if (target->started) {
-    OnBatch(target, port, *batch);
-  } else {
-    target->pre_start.push_back(
-        [this, target, port, batch] { OnBatch(target, port, *batch); });
-  }
-  // The credit is released once the frame is consumed or parked — parked
-  // batches occupy worker memory but no longer gate the wire, mirroring
-  // the thread backend's bound on *queued* (undrained) batches.
-  ++credits_;
-  return Status::OK();
-}
-
-Status WorkerRun::HandleEos(const Frame& frame) {
-  WireReader reader(frame.payload);
-  RouteHeader route;
-  MJOIN_RETURN_IF_ERROR(DecodeRouteHeader(&reader, &route));
-  if (route.consumer_op < 0 ||
-      static_cast<size_t>(route.consumer_op) >= plan_.ops.size() ||
-      route.dest_index >= op(route.consumer_op).processors.size() ||
-      !Hosts(op(route.consumer_op).processors[route.dest_index])) {
-    return Status::InvalidArgument("eos frame routed to unknown instance");
-  }
-  WorkerInstance* target = instance(route.consumer_op, route.dest_index);
-  if (injector_ != nullptr) injector_->OnDequeue(target->processor_);
-  int port = route.port;
-  if (target->started) {
-    OnEos(target, port);
-  } else {
-    target->pre_start.push_back(
-        [this, target, port] { OnEos(target, port); });
-  }
-  return Status::OK();
-}
-
 bool WorkerRun::InboundRingsNonEmpty() {
   for (size_t i : plane_->InboundRings(env_.worker_id)) {
     if (!plane_->ring(i)->Empty()) return true;
@@ -1027,7 +891,6 @@ bool WorkerRun::InboundRingsNonEmpty() {
 }
 
 Status WorkerRun::DrainInboundRings() {
-  if (plane_ == nullptr) return Status::OK();
   for (size_t ring_index : plane_->InboundRings(env_.worker_id)) {
     ShmRing* ring = plane_->ring(ring_index);
     // Bounded drain: only records already published when we got here. A
@@ -1219,34 +1082,20 @@ Status WorkerRun::SendFinishReports() {
     MJOIN_ASSIGN_OR_RETURN(uint32_t schema_id,
                            registry_.IdOf(*storer->output_schema));
     uint32_t tuple_size = storer->output_schema->tuple_size();
-    // Ship fragments in bounded chunks so one giant result does not
-    // produce one giant frame (or one over-large ring record).
-    const bool use_ring =
-        plane_ != nullptr &&
-        sizeof(ShmResultRowsHeader) + tuple_size <= shm_max_payload_;
-    const size_t rows_per_frame =
-        use_ring
-            ? (shm_max_payload_ - sizeof(ShmResultRowsHeader)) / tuple_size
-            : std::max<size_t>(1, (4u << 20) / tuple_size);
+    // Ship fragments in chunks that each fit one ring record.
+    const size_t rows_per_record =
+        (shm_max_payload_ - sizeof(ShmResultRowsHeader)) / tuple_size;
     for (const Relation* frag : hosted) {
       size_t offset = 0;
       while (offset < frag->num_tuples()) {
-        size_t count = std::min(rows_per_frame, frag->num_tuples() - offset);
-        if (use_ring) {
-          ShmResultRowsHeader hdr;
-          hdr.schema_id = schema_id;
-          hdr.tuple_size = tuple_size;
-          hdr.num_tuples = static_cast<uint32_t>(count);
-          PushShmRecord(coord_ep_, ShmRecordType::kResultRows, &hdr,
-                        sizeof(hdr), frag->raw_data() + offset * tuple_size,
-                        count * tuple_size);
-        } else {
-          std::vector<std::byte> rows_payload;
-          AppendRowsWire(schema_id, tuple_size,
-                         frag->raw_data() + offset * tuple_size, count,
-                         &rows_payload);
-          chan_->QueueFrame(FrameType::kResultRows, rows_payload);
-        }
+        size_t count = std::min(rows_per_record, frag->num_tuples() - offset);
+        ShmResultRowsHeader hdr;
+        hdr.schema_id = schema_id;
+        hdr.tuple_size = tuple_size;
+        hdr.num_tuples = static_cast<uint32_t>(count);
+        PushShmRecord(coord_ep_, ShmRecordType::kResultRows, &hdr,
+                      sizeof(hdr), frag->raw_data() + offset * tuple_size,
+                      count * tuple_size);
         offset += count;
       }
     }
@@ -1301,12 +1150,6 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kTrigger:
       return HandleTrigger(frame);
-    case FrameType::kFragment:
-      return HandleFragment(frame);
-    case FrameType::kData:
-      return HandleData(frame);
-    case FrameType::kEos:
-      return HandleEos(frame);
     case FrameType::kSkewDirective:
       return HandleSkewDirective(frame);
     case FrameType::kFinish:
@@ -1340,10 +1183,8 @@ Status WorkerRun::HandleFrame(const Frame& frame) {
 
 Status WorkerRun::Loop() {
   for (;;) {
-    if (plane_ != nullptr) {
-      RetryBacklogs();
-      RingDirtyDoorbells();
-    }
+    RetryBacklogs();
+    RingDirtyDoorbells();
     MJOIN_RETURN_IF_ERROR(chan_->Flush());
     bool peer_closed = false;
     MJOIN_RETURN_IF_ERROR(chan_->ReadAvailable(&peer_closed));
@@ -1364,33 +1205,22 @@ Status WorkerRun::Loop() {
     if (peer_closed) {
       return Status::Unavailable("coordinator closed the socket");
     }
-    if (credits_ > 0) {
-      // One coalesced credit return per poll cycle: every data frame the
-      // cycle consumed releases its credit in a single kCredit, flushed
-      // here instead of burning a dedicated send-only loop turn per frame.
-      std::vector<std::byte> payload;
-      PutU32(&payload, credits_);
-      credits_ = 0;
-      chan_->QueueFrame(FrameType::kCredit, payload);
-      MJOIN_RETURN_IF_ERROR(chan_->Flush());
-    }
     if (bye_pending_ && ring_backlog_bytes_ == 0) {
       bye_pending_ = false;
       chan_->QueueFrame(FrameType::kBye, {});
       continue;  // flush before waiting
     }
     if (!pump_queue_.empty()) {
-      if (chan_->pending_output_bytes() < kOutboxWatermark &&
-          ring_backlog_bytes_ < kOutboxWatermark) {
+      if (ring_backlog_bytes_ < kRingBacklogWatermark) {
         PumpSources();
         if (aborted()) return run_status_;
         continue;
       }
       ++stats_.pump_stalls;
     }
-    if (plane_ != nullptr) RingDirtyDoorbells();
+    RingDirtyDoorbells();
     if (chan_->has_frames()) continue;
-    if (plane_ != nullptr && InboundRingsNonEmpty()) continue;
+    if (InboundRingsNonEmpty()) continue;
     // Nothing runnable: wait for the socket (readable, or writable when
     // the outbox is backed up) or our doorbell (a peer published records
     // or released ring space). A nonempty backlog caps the wait — the
@@ -1400,20 +1230,15 @@ Status WorkerRun::Loop() {
     pfds[0].events = static_cast<short>(
         POLLIN | (chan_->has_pending_output() ? POLLOUT : 0));
     pfds[0].revents = 0;
-    nfds_t nfds = 1;
-    if (plane_ != nullptr) {
-      pfds[1].fd = plane_->doorbell(env_.worker_id);
-      pfds[1].events = POLLIN;
-      pfds[1].revents = 0;
-      nfds = 2;
-    }
-    const int timeout_ms =
-        plane_ != nullptr && ring_backlog_bytes_ > 0 ? 10 : 1000;
-    int rc = poll(pfds, nfds, timeout_ms);
+    pfds[1].fd = plane_->doorbell(env_.worker_id);
+    pfds[1].events = POLLIN;
+    pfds[1].revents = 0;
+    const int timeout_ms = ring_backlog_bytes_ > 0 ? 10 : 1000;
+    int rc = poll(pfds, 2, timeout_ms);
     if (rc < 0 && errno != EINTR) {
       return Status::Internal("worker poll failed");
     }
-    if (plane_ != nullptr) plane_->DrainDoorbell(env_.worker_id);
+    plane_->DrainDoorbell(env_.worker_id);
   }
 }
 
@@ -1484,38 +1309,32 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
 
     // The hello hash is FNV over our *re-serialization* of the parsed plan:
     // every process-backend query round-trips the textual XRA format and
-    // the coordinator verifies the result. With the shm plane on, the hello
-    // also echoes the ring directory this worker derived from its own parse
-    // — the coordinator rejects the fleet before any record can cross a
-    // divergent directory.
-    ShmDataPlane* data_plane = nullptr;
+    // the coordinator verifies the result. The hello also echoes the ring
+    // directory this worker derived from its own parse — the coordinator
+    // rejects the fleet before any record can cross a divergent directory.
+    ShmDataPlane* data_plane = plane;
     std::unique_ptr<ShmDataPlane> arena_view;
     HelloMsg hello;
     hello.protocol_version = kNetProtocolVersion;
     hello.plan_hash = FnvHash64(SerializePlan(*plan));
-    if (env.use_shm_data_plane) {
-      std::vector<ShmRingSpec> directory =
-          ComputeRingDirectory(*plan, env.num_workers);
-      hello.ring_directory_hash = ShmDataPlane::HashDirectory(
-          directory, env.num_workers + 1, env.shm_ring_bytes);
-      if (arena != nullptr) {
-        // Warm fleet: lay this query's ring view over the inherited arena.
-        // The coordinator formatted the rings before sending kPlan, so the
-        // worker only attaches.
-        StatusOr<std::unique_ptr<ShmDataPlane>> view =
-            ShmDataPlane::CreateInArena(arena, std::move(directory),
-                                        env.num_workers + 1,
-                                        env.shm_ring_bytes,
-                                        /*format=*/false);
-        if (!view.ok()) return fail(view.status());
-        arena_view = std::move(view).value();
-        data_plane = arena_view.get();
-      } else if (plane != nullptr) {
-        data_plane = plane;
-      } else {
-        return fail(Status::Internal(
-            "plan enables the shm data plane but the worker inherited none"));
-      }
+    std::vector<ShmRingSpec> directory =
+        ComputeRingDirectory(*plan, env.num_workers);
+    hello.ring_directory_hash = ShmDataPlane::HashDirectory(
+        directory, env.num_workers + 1, env.shm_ring_bytes);
+    if (arena != nullptr) {
+      // Warm fleet: lay this query's ring view over the inherited arena.
+      // The coordinator formatted the rings before sending kPlan, so the
+      // worker only attaches.
+      StatusOr<std::unique_ptr<ShmDataPlane>> view =
+          ShmDataPlane::CreateInArena(arena, std::move(directory),
+                                      env.num_workers + 1, env.shm_ring_bytes,
+                                      /*format=*/false);
+      if (!view.ok()) return fail(view.status());
+      arena_view = std::move(view).value();
+      data_plane = arena_view.get();
+    }
+    if (data_plane == nullptr) {
+      return fail(Status::Internal("the worker inherited no shm data plane"));
     }
     std::vector<std::byte> hello_payload;
     EncodeHello(hello, &hello_payload);

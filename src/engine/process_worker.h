@@ -18,13 +18,13 @@ class ShmDataPlane;
 /// instantiates the operator instances of its hosted processors, and
 /// exchanges batches with the rest of the fleet.
 ///
-/// `plane` (nullable) is a one-shot coordinator's pre-fork ShmDataPlane,
-/// inherited through fork so its mapping and doorbells are valid here.
-/// `arena` (nullable) is a warm fleet's fleet-lifetime ShmArena; when the
-/// plan envelope enables the shm plane and an arena was inherited, the
-/// worker lays a per-query ShmDataPlane view over it instead. Either way,
-/// data batches, EOS markers, fragments, and result rows travel over the
-/// rings while control frames stay on the socket. The child never destroys
+/// `plane` is a one-shot coordinator's pre-fork ShmDataPlane, inherited
+/// through fork so its mapping and doorbells are valid here. `arena` is a
+/// warm fleet's fleet-lifetime ShmArena instead; the worker lays a
+/// per-query ShmDataPlane view over it. Exactly one of the two is set.
+/// Either way, data batches, EOS markers, fragments, and result rows
+/// travel over the rings while control frames stay on the socket. The
+/// child never destroys
 /// the plane or arena — _exit() skips destructors, and the kernel drops its
 /// reference to the shared mapping.
 ///

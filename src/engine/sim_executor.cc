@@ -175,6 +175,7 @@ void Instance::EmitRows(const std::byte* rows, size_t count,
 void Instance::BatchFull(uint32_t dest) { run_->FlushDest(this, dest); }
 
 Status SimRun::Prepare() {
+  MJOIN_RETURN_IF_ERROR(CheckPlanCatalog(plan_, db_));
   node_memory_.assign(plan_.num_processors + 2, 0);
   size_t num_ops = plan_.ops.size();
   instances_.resize(num_ops);

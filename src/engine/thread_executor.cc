@@ -510,6 +510,7 @@ void ThreadInstance::ReportError(const Status& status) {
 }
 
 Status ThreadRun::Prepare() {
+  MJOIN_RETURN_IF_ERROR(CheckPlanCatalog(plan_, db_));
   size_t num_ops = plan_.ops.size();
   instances_.resize(num_ops);
   scan_fragments_.resize(num_ops);

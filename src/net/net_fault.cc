@@ -22,6 +22,8 @@ std::string NetFaultKindName(NetFaultKind kind) {
       return "stall-out";
     case NetFaultKind::kDropConnection:
       return "drop-conn";
+    case NetFaultKind::kCorruptRingRecord:
+      return "corrupt-ring";
   }
   return "unknown";
 }
@@ -31,7 +33,7 @@ bool ParseNetFaultKind(const std::string& text, NetFaultKind* kind) {
        {NetFaultKind::kNone, NetFaultKind::kCorruptOutbound,
         NetFaultKind::kCorruptInbound, NetFaultKind::kTruncateOutbound,
         NetFaultKind::kShortWrites, NetFaultKind::kStallOutbound,
-        NetFaultKind::kDropConnection}) {
+        NetFaultKind::kDropConnection, NetFaultKind::kCorruptRingRecord}) {
     if (NetFaultKindName(candidate) == text) {
       *kind = candidate;
       return true;
@@ -96,6 +98,7 @@ void NetFaultInjector::OnOutboundFrame(std::vector<std::byte>* frame,
     case NetFaultKind::kNone:
     case NetFaultKind::kCorruptInbound:
     case NetFaultKind::kShortWrites:
+    case NetFaultKind::kCorruptRingRecord:
       return;
   }
 }
@@ -116,6 +119,13 @@ void NetFaultInjector::OnInboundBytes(std::byte* data, size_t size) {
   ++fires_;
   size_t offset = std::uniform_int_distribution<size_t>(0, size - 1)(rng_);
   data[offset] ^= std::byte{0x20};
+}
+
+bool NetFaultInjector::ShouldCorruptRingRecord() {
+  if (scenario_.kind != NetFaultKind::kCorruptRingRecord) return false;
+  if (ring_records_seen_++ < scenario_.after_frames || !Armed()) return false;
+  ++fires_;
+  return true;
 }
 
 }  // namespace mjoin

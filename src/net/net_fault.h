@@ -33,6 +33,11 @@ enum class NetFaultKind {
   kStallOutbound,
   /// shutdown(SHUT_RDWR) mid-stream: an abrupt connection drop.
   kDropConnection,
+  /// The coordinator publishes one relay-ring record toward the faulted
+  /// worker with an invalid type word. The worker's record validation
+  /// must turn it into a retryable corrupt-ring failure. `after_frames`
+  /// counts ring records let through before firing.
+  kCorruptRingRecord,
 };
 
 std::string NetFaultKindName(NetFaultKind kind);
@@ -103,6 +108,10 @@ class NetFaultInjector {
   /// Called with each raw inbound read chunk before frame reassembly; may
   /// flip a byte (kCorruptInbound).
   void OnInboundBytes(std::byte* data, size_t size);
+  /// Called before the coordinator publishes a relay-ring record toward
+  /// this injector's worker; true when the record must carry an invalid
+  /// type word (kCorruptRingRecord).
+  bool ShouldCorruptRingRecord();
 
   /// Faults actually fired so far (for test assertions and diagnostics).
   uint64_t fires() const { return fires_; }
@@ -122,6 +131,7 @@ class NetFaultInjector {
   std::mt19937_64 rng_;
   uint64_t outbound_seen_ = 0;
   uint64_t inbound_seen_ = 0;
+  uint64_t ring_records_seen_ = 0;
   uint64_t fires_ = 0;
   /// Per-link latches, cleared by OnChannelRebind.
   bool stalled_ = false;

@@ -244,78 +244,4 @@ StatusOr<uint32_t> SchemaRegistry::IdOf(const Schema& schema) const {
       StrCat("schema not declared by the plan: ", schema.ToString()));
 }
 
-size_t BatchWireSize(uint32_t tuple_size, size_t count) {
-  // magic + version + flags + schema_id + tuple_size + num_tuples + rows
-  // + crc.
-  return 4 + 2 + 2 + 4 + 4 + 4 + count * tuple_size + 4;
-}
-
-void AppendRowsWire(uint32_t schema_id, uint32_t tuple_size,
-                    const std::byte* rows, size_t count,
-                    std::vector<std::byte>* out) {
-  size_t start = out->size();
-  out->reserve(start + BatchWireSize(tuple_size, count));
-  PutU32(out, kBatchWireMagic);
-  PutU16(out, kBatchWireVersion);
-  PutU16(out, 0);  // flags
-  PutU32(out, schema_id);
-  PutU32(out, tuple_size);
-  PutU32(out, static_cast<uint32_t>(count));
-  out->insert(out->end(), rows, rows + count * tuple_size);
-  PutU32(out, Crc32(out->data() + start, out->size() - start));
-}
-
-void AppendBatchWire(const TupleBatch& batch, uint32_t schema_id,
-                     std::vector<std::byte>* out) {
-  AppendRowsWire(schema_id, batch.schema().tuple_size(), batch.raw_data(),
-                 batch.num_tuples(), out);
-}
-
-Status ReadBatchWire(WireReader* reader, const SchemaRegistry& registry,
-                     TupleBatch* out) {
-  const std::byte* start = reader->cursor();
-  uint32_t magic, schema_id, tuple_size, num_tuples;
-  uint16_t version, flags;
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&magic));
-  if (magic != kBatchWireMagic) {
-    return Status::InvalidArgument(
-        StrCat("batch wire magic mismatch: got ", magic));
-  }
-  MJOIN_RETURN_IF_ERROR(reader->ReadU16(&version));
-  if (version != kBatchWireVersion) {
-    return Status::InvalidArgument(
-        StrCat("unsupported batch wire version ", version));
-  }
-  MJOIN_RETURN_IF_ERROR(reader->ReadU16(&flags));
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&schema_id));
-  if (schema_id >= registry.size()) {
-    return Status::InvalidArgument(
-        StrCat("batch schema id ", schema_id, " out of range (",
-               registry.size(), " schemas)"));
-  }
-  const std::shared_ptr<const Schema>& schema = registry.Get(schema_id);
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&tuple_size));
-  if (tuple_size != schema->tuple_size()) {
-    return Status::InvalidArgument(
-        StrCat("batch tuple size ", tuple_size, " disagrees with schema ",
-               schema_id, " (", schema->tuple_size(), " bytes)"));
-  }
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&num_tuples));
-  const std::byte* rows;
-  MJOIN_RETURN_IF_ERROR(
-      reader->ReadBytes(static_cast<size_t>(num_tuples) * tuple_size, &rows));
-  uint32_t crc;
-  size_t covered = static_cast<size_t>(reader->cursor() - start);
-  MJOIN_RETURN_IF_ERROR(reader->ReadU32(&crc));
-  uint32_t actual = Crc32(start, covered);
-  if (crc != actual) {
-    return Status::InvalidArgument(StrCat("batch CRC mismatch: frame says ",
-                                          crc, ", payload hashes to ",
-                                          actual));
-  }
-  out->ResetSchema(schema);
-  out->AppendRows(rows, num_tuples);
-  return Status::OK();
-}
-
 }  // namespace mjoin

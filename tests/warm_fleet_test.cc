@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <random>
 #include <thread>
 #include <utility>
@@ -16,6 +17,7 @@
 #include "engine/reference.h"
 #include "engine/thread_executor.h"
 #include "engine/warm_fleet.h"
+#include "opt/general_query.h"
 #include "plan/wisconsin_query.h"
 #include "strategy/strategy.h"
 
@@ -155,6 +157,65 @@ TEST(WarmFleetTest, SurplusWorkersServeNarrowPlans) {
     EXPECT_EQ(result->exec.result.checksum, f.reference.checksum);
   }
   EXPECT_EQ((*fleet)->respawns(), 0u);
+}
+
+TEST(WarmFleetTest, RowsWiderThanARingRecordAreRefusedUpFront) {
+  // Two relations of 2104-byte rows joined on their key: no row fits one
+  // record of a 4 KiB ring (2032 payload bytes). Data never falls back to
+  // another path, so both the one-shot executor and the warm fleet must
+  // refuse the plan with InvalidArgument before shipping anything — no
+  // abort, no hang, no poisoned fleet.
+  auto schema = std::make_shared<const Schema>(
+      Schema({Column::Int32("k"), Column::FixedString("pad", 2100)}));
+  GeneralQuerySpec spec;
+  const int a = spec.AddRelation("wide_a", 8, schema);
+  const int b = spec.AddRelation("wide_b", 8, schema);
+  ASSERT_TRUE(spec.AddEquiJoin(a, 0, b, 0).ok());
+  JoinTree tree;
+  tree.AddJoin(tree.AddLeaf("wide_a", 8), tree.AddLeaf("wide_b", 8), 8);
+  auto query = spec.BindTree(tree);
+  ASSERT_TRUE(query.ok()) << query.status();
+  Database db;
+  for (const char* name : {"wide_a", "wide_b"}) {
+    Relation rel(*schema);
+    std::vector<std::byte> row(schema->tuple_size());
+    for (int32_t k = 0; k < 8; ++k) {
+      std::memcpy(row.data() + schema->offset(0), &k, sizeof(k));
+      rel.AppendRow(row.data());
+    }
+    ASSERT_TRUE(db.Add(name, std::move(rel)).ok());
+  }
+  auto plan =
+      MakeStrategy(StrategyKind::kFP)->Parallelize(*query, 4, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  ProcessExecOptions options;
+  options.shm_ring_bytes = 4096;
+  ProcessExecutor one_shot(&db);
+  auto refused = one_shot.Execute(*plan, options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status();
+
+  WarmFleetOptions fleet_options;
+  fleet_options.num_workers = 2;
+  fleet_options.shm_ring_bytes = 4096;
+  auto fleet = WarmProcessFleet::Spawn(&db, fleet_options);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  const pid_t pid = (*fleet)->worker_pid(0);
+  auto warm = (*fleet)->Execute(*plan, options);
+  ASSERT_FALSE(warm.ok());
+  EXPECT_EQ(warm.status().code(), StatusCode::kInvalidArgument)
+      << warm.status();
+  EXPECT_EQ((*fleet)->respawns(), 0u);
+  EXPECT_EQ((*fleet)->worker_pid(0), pid);
+
+  // The thread backend has no ring, so the same plan runs there.
+  auto reference = ReferenceSummary(*query, db);
+  ASSERT_TRUE(reference.ok());
+  auto threads = ThreadExecutor(&db).Execute(*plan, ThreadExecOptions{});
+  ASSERT_TRUE(threads.ok()) << threads.status();
+  EXPECT_EQ(threads->result, *reference);
 }
 
 TEST(WarmFleetTest, KillNineBetweenQueriesRespawnsAndSucceeds) {

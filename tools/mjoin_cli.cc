@@ -119,12 +119,10 @@ int Usage() {
       "                     budget is exhausted\n"
       "  --heartbeat-ms N   coordinator ping cadence (default 500)\n"
       "  --liveness-ms N    SIGKILL a worker silent this long (0=off)\n"
-      "  --no-shm           keep data on the sockets instead of the\n"
-      "                     shared-memory ring data plane\n"
       "  --shm-ring-kb N    data bytes per shm ring in KiB; power of two\n"
       "                     (default 256)\n"
       "  --net-fault KIND   none|corrupt-out|corrupt-in|truncate-out|\n"
-      "                     short-writes|stall-out|drop-conn\n"
+      "                     short-writes|stall-out|drop-conn|corrupt-ring\n"
       "  --net-fault-worker N  worker link the fault is installed on\n"
       "  --net-fault-after N   frames let through before firing\n"
       "  --net-fault-fires N   total fires allowed (0=unlimited, default 1)\n"
@@ -428,7 +426,6 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
     process_options.retry_backoff =
         std::chrono::milliseconds(args.GetInt("retry-backoff-ms", 50));
     process_options.degrade_to_thread = args.Has("degrade");
-    process_options.use_shm_data_plane = !args.Has("no-shm");
     process_options.shm_ring_bytes =
         static_cast<uint32_t>(args.GetInt("shm-ring-kb", 256)) * 1024u;
     process_options.heartbeat_interval =
@@ -510,12 +507,12 @@ int RunExecBackend(const Args& args, const ParallelPlan& plan,
   }
   if (process_backend) {
     std::printf(
-        "network: %s sent, %llu data frames routed, %llu local "
-        "deliveries, %llu credit stalls\n",
+        "network: %s sent, %s over shm rings, %llu local deliveries, "
+        "%llu ring-full stalls\n",
         FormatBytes(net.bytes_sent).c_str(),
-        static_cast<unsigned long long>(net.data_frames_routed),
+        FormatBytes(net.shm_bytes_sent).c_str(),
         static_cast<unsigned long long>(net.local_deliveries),
-        static_cast<unsigned long long>(net.credit_stalls));
+        static_cast<unsigned long long>(net.ring_full_stalls));
   }
   if (want_metrics) {
     std::printf("\nper-operator metrics:\n%s",
@@ -702,7 +699,7 @@ int main(int argc, char** argv) {
     if (auto eq = key.find('='); eq != std::string::npos) {
       args.flags.insert_or_assign(key.substr(0, eq), key.substr(eq + 1));
     } else if (key == "analyze" || key == "diagram" || key == "metrics" ||
-               key == "degrade" || key == "no-shm") {
+               key == "degrade") {
       args.flags.insert_or_assign(key, std::string("1"));
     } else if (i + 1 < argc) {
       args.flags.insert_or_assign(key, std::string(argv[++i]));

@@ -1,7 +1,7 @@
 // mjoin_serve — long-lived multi-tenant query service on warm executors.
 //
 //   mjoin_serve serve    --socket /tmp/mjoin.sock --exec-threads 2
-//                        --workers 4 [--no-process] [--no-shm]
+//                        --workers 4 [--no-process]
 //                        [--budget BYTES] [--cache N]
 //                        [--relations 5 --card 2000 --seed 1995]
 //   mjoin_serve submit   --socket /tmp/mjoin.sock --shape wide-bushy
@@ -75,7 +75,6 @@ int Usage() {
       "  --exec-threads N   concurrent query slots (default 2)\n"
       "  --workers N        warm process-worker fleet size (default 4)\n"
       "  --no-process       thread backend only (no worker fleet)\n"
-      "  --no-shm           fleet keeps data on sockets, not shm rings\n"
       "  --ring-kb N        shm ring size in KiB (default 256)\n"
       "  --budget BYTES     global admission budget (default 1 GiB)\n"
       "  --cache N          plan-cache capacity (default 64)\n"
@@ -160,7 +159,6 @@ int RunServe(const Args& args) {
   options.plan_cache_capacity = static_cast<size_t>(args.GetInt("cache", 64));
   options.enable_process_backend = !args.Has("no-process");
   options.fleet.num_workers = static_cast<uint32_t>(args.GetInt("workers", 4));
-  options.fleet.use_shm_data_plane = !args.Has("no-shm");
   options.fleet.shm_ring_bytes =
       static_cast<uint32_t>(args.GetInt("ring-kb", 256)) * 1024u;
 
