@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -1160,45 +1161,7 @@ void Coordinator::GatherNetStats() {
 void PublishProcessMetrics(const ThreadExecStats& stats,
                            const ProcessNetStats& net, double wall_seconds,
                            MetricsRegistry* registry) {
-  registry->counter("process.batches_sent")->Add(stats.batches_sent);
-  registry->counter("process.batches_processed")
-      ->Add(stats.batches_processed);
-  registry->counter("process.batches_dropped")->Add(stats.batches_dropped);
-  registry->counter("process.batches_duplicated")
-      ->Add(stats.batches_duplicated);
-  registry->counter("process.batch_buffers_allocated")
-      ->Add(stats.batch_buffers_allocated);
-  registry->counter("process.batch_buffers_reused")
-      ->Add(stats.batch_buffers_reused);
-  registry->gauge("process.peak_memory_bytes")
-      ->Set(static_cast<int64_t>(stats.peak_memory_bytes));
-  registry->histogram("process.wall_seconds")->Observe(wall_seconds);
-  Histogram* batch_hist = registry->histogram("process.batch_seconds");
-  uint64_t rows_out = 0;
-  uint64_t hot_keys = 0;
-  uint64_t replicated = 0;
-  uint64_t repartitioned = 0;
-  uint64_t bloom_filtered = 0;
-  double bloom_fp_rate = 0;
-  for (const ThreadOpStats& per_op : stats.per_op) {
-    for (double sample : per_op.metrics.batch_seconds.values()) {
-      batch_hist->Observe(sample);
-    }
-    rows_out += per_op.metrics.rows_out;
-    hot_keys += per_op.metrics.skew_hot_keys;
-    replicated += per_op.metrics.skew_replicated_rows;
-    repartitioned += per_op.metrics.skew_repartitioned_rows;
-    bloom_filtered += per_op.metrics.skew_bloom_filtered_rows;
-    bloom_fp_rate =
-        std::max(bloom_fp_rate, per_op.metrics.skew_bloom_fp_rate);
-  }
-  registry->counter("process.rows_emitted")->Add(rows_out);
-  registry->counter("skew.hot_keys_detected")->Add(hot_keys);
-  registry->counter("skew.replicated_rows")->Add(replicated);
-  registry->counter("skew.repartitioned_rows")->Add(repartitioned);
-  registry->counter("skew.bloom_filtered_rows")->Add(bloom_filtered);
-  registry->histogram("skew.bloom_fp_rate")->Observe(bloom_fp_rate);
-
+  PublishExecMetrics("process", stats, wall_seconds, registry);
   registry->counter("net.bytes_sent")->Add(net.bytes_sent);
   registry->counter("net.bytes_received")->Add(net.bytes_received);
   registry->counter("net.frames_sent")->Add(net.frames_sent);
@@ -1392,6 +1355,102 @@ void PublishRecoveryMetrics(const ProcessExecStats& proc,
   registry->counter("net.pongs_received")->Add(proc.pongs_received);
 }
 
+/// Everything checked before any fleet work: the execution knobs, the
+/// plan's own invariants, its binding to the catalog, and that every row
+/// fits one record of a `ring_bytes` ring.
+Status ValidateRequest(const ParallelPlan& plan,
+                       const ProcessExecOptions& options, const Database& db,
+                       uint32_t ring_bytes) {
+  if (options.exec.batch_size == 0) {
+    return Status::InvalidArgument(
+        "ProcessExecOptions::exec.batch_size must be positive");
+  }
+  if (options.exec.deadline.has_value() &&
+      options.exec.deadline->count() <= 0) {
+    return Status::InvalidArgument(
+        "ProcessExecOptions::exec.deadline must be positive when set");
+  }
+  MJOIN_RETURN_IF_ERROR(plan.Validate());
+  MJOIN_RETURN_IF_ERROR(CheckPlanCatalog(plan, db));
+  return CheckRingFit(plan, ring_bytes);
+}
+
+/// One attempt of a process-backed execution, given its 0-based number,
+/// the deadline shared by every attempt, and the accumulating supervision
+/// counters.
+using AttemptFn = std::function<StatusOr<ProcessQueryResult>(
+    uint32_t attempt,
+    const std::optional<std::chrono::steady_clock::time_point>& deadline,
+    ProcessExecStats* proc)>;
+
+/// The recovery policy of one-shot and warm execution alike: a retryable
+/// failure is retried (max_retries) after an exponential backoff, then —
+/// with degrade_to_thread — the query falls back to the thread backend.
+/// The deadline is absolute across attempts: retries and their backoffs
+/// spend the same budget the query itself does.
+StatusOr<ProcessQueryResult> ExecuteWithRecovery(
+    const Database* database, const ParallelPlan& plan,
+    const ProcessExecOptions& options, ThreadExecStats* stats_out,
+    ProcessNetStats* net_out, ProcessExecStats* proc_out,
+    const AttemptFn& run_attempt) {
+  std::optional<std::chrono::steady_clock::time_point> deadline;
+  if (options.exec.deadline.has_value()) {
+    // lint:allow-clock absolute retry-spanning deadline, once per Execute
+    deadline = std::chrono::steady_clock::now() + *options.exec.deadline;
+  }
+
+  ProcessExecStats proc;
+  auto finish = [&proc, &options, proc_out](
+                    StatusOr<ProcessQueryResult> result) {
+    if (result.ok()) result->proc = proc;
+    if (proc_out != nullptr) *proc_out = proc;
+    if (options.exec.metrics_registry != nullptr) {
+      PublishRecoveryMetrics(proc, options.exec.metrics_registry);
+    }
+    return result;
+  };
+
+  std::chrono::milliseconds backoff = options.retry_backoff;
+  Status failure = Status::OK();
+  for (uint32_t attempt = 0;; ++attempt) {
+    proc.attempts = attempt + 1;
+    StatusOr<ProcessQueryResult> result =
+        run_attempt(attempt, deadline, &proc);
+    if (result.ok()) return finish(std::move(result));
+    failure = result.status();
+    if (!IsRetryableFailure(failure) || attempt >= options.max_retries) break;
+    ++proc.retries;
+    Status slept =
+        BackoffSleep(backoff, deadline, options.exec.cancellation);
+    if (!slept.ok()) {
+      failure = slept;
+      break;
+    }
+    backoff = std::min(backoff * 2, options.retry_backoff_cap);
+  }
+
+  if (options.degrade_to_thread && IsRetryableFailure(failure)) {
+    // The process fleet is unusable in this environment; fall back to the
+    // in-process backend. The shipped fault scenario is deliberately not
+    // carried over — degradation escapes the faulty environment, it does
+    // not re-create it.
+    proc.degraded_to_thread = true;
+    ThreadExecOptions exec = options.exec;
+    exec.fault_injector = nullptr;
+    StatusOr<ThreadQueryResult> degraded =
+        ThreadExecutor(database).Execute(plan, exec, stats_out);
+    if (degraded.ok()) {
+      ProcessQueryResult result;
+      result.exec = std::move(degraded).value();
+      result.net.num_workers = 0;  // no fleet produced this result
+      if (net_out != nullptr) *net_out = result.net;
+      return finish(std::move(result));
+    }
+    failure = degraded.status();
+  }
+  return finish(failure);
+}
+
 /// Forks `num_workers` persistent workers into `state` (arena and
 /// ring_bytes must already be set). Children inherit the arena mapping and
 /// run RunProcessWorker with it; sibling sockets are closed in each child.
@@ -1543,18 +1602,8 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
     ThreadExecStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) {
-  if (options.exec.batch_size == 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.batch_size must be positive");
-  }
-  if (options.exec.deadline.has_value() &&
-      options.exec.deadline->count() <= 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.deadline must be positive when set");
-  }
-  MJOIN_RETURN_IF_ERROR(plan.Validate());
-  MJOIN_RETURN_IF_ERROR(CheckPlanCatalog(plan, *impl_->database));
-  MJOIN_RETURN_IF_ERROR(CheckRingFit(plan, impl_->options.shm_ring_bytes));
+  MJOIN_RETURN_IF_ERROR(ValidateRequest(plan, options, *impl_->database,
+                                        impl_->options.shm_ring_bytes));
   std::lock_guard<std::mutex> lock(impl_->mutex);
 
   // The fleet's spawn-time shape wins over the per-query knobs: the
@@ -1562,79 +1611,26 @@ StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
   ProcessExecOptions opts = options;
   opts.num_workers = impl_->options.num_workers;
   opts.shm_ring_bytes = impl_->state.ring_bytes;
-
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (opts.exec.deadline.has_value()) {
-    // lint:allow-clock absolute retry-spanning deadline, once per Execute
-    deadline = std::chrono::steady_clock::now() + *opts.exec.deadline;
-  }
-
-  ProcessExecStats proc;
-  auto publish = [&proc, &opts] {
-    if (opts.exec.metrics_registry != nullptr) {
-      PublishRecoveryMetrics(proc, opts.exec.metrics_registry);
-    }
-  };
-
-  std::chrono::milliseconds backoff = opts.retry_backoff;
-  Status failure = Status::OK();
-  for (uint32_t attempt = 0;; ++attempt) {
-    proc.attempts = attempt + 1;
-    if (impl_->state.poisoned || impl_->state.members.empty()) {
-      Status respawned = impl_->Respawn();
-      if (!respawned.ok()) {
-        failure = respawned;
-        break;
-      }
-    }
-    Coordinator coordinator(plan, *impl_->database, opts,
-                            impl_->options.num_workers, attempt, deadline,
-                            &proc, &impl_->state);
-    StatusOr<ProcessQueryResult> result = coordinator.Run(stats_out, net_out);
-    if (result.ok()) {
-      result->proc = proc;
-      if (proc_out != nullptr) *proc_out = proc;
-      publish();
-      return result;
-    }
-    // Any failure — even a deterministic one — leaves workers possibly
-    // mid-query and unable to take a new plan; a respawn is the only safe
-    // way back to a serviceable fleet.
-    impl_->state.poisoned = true;
-    failure = result.status();
-    if (!IsRetryableFailure(failure) || attempt >= opts.max_retries) break;
-    ++proc.retries;
-    Status slept = BackoffSleep(backoff, deadline, opts.exec.cancellation);
-    if (!slept.ok()) {
-      failure = slept;
-      break;
-    }
-    backoff = std::min(backoff * 2, opts.retry_backoff_cap);
-  }
-
-  if (opts.degrade_to_thread && IsRetryableFailure(failure)) {
-    proc.degraded_to_thread = true;
-    ThreadExecOptions exec = opts.exec;
-    exec.fault_injector = nullptr;
-    ThreadExecutor fallback(impl_->database);
-    StatusOr<ThreadQueryResult> degraded =
-        fallback.Execute(plan, exec, stats_out);
-    if (degraded.ok()) {
-      ProcessQueryResult result;
-      result.exec = std::move(degraded).value();
-      result.net.num_workers = 0;  // no fleet produced this result
-      result.proc = proc;
-      if (net_out != nullptr) *net_out = result.net;
-      if (proc_out != nullptr) *proc_out = proc;
-      publish();
-      return result;
-    }
-    failure = degraded.status();
-  }
-
-  if (proc_out != nullptr) *proc_out = proc;
-  publish();
-  return failure;
+  return ExecuteWithRecovery(
+      impl_->database, plan, opts, stats_out, net_out, proc_out,
+      [&](uint32_t attempt,
+          const std::optional<std::chrono::steady_clock::time_point>&
+              deadline,
+          ProcessExecStats* proc) -> StatusOr<ProcessQueryResult> {
+        if (impl_->state.poisoned || impl_->state.members.empty()) {
+          MJOIN_RETURN_IF_ERROR(impl_->Respawn());
+        }
+        Coordinator coordinator(plan, *impl_->database, opts,
+                                impl_->options.num_workers, attempt,
+                                deadline, proc, &impl_->state);
+        StatusOr<ProcessQueryResult> result =
+            coordinator.Run(stats_out, net_out);
+        // Any failure — even a deterministic one — leaves workers possibly
+        // mid-query and unable to take a new plan; a respawn is the only
+        // safe way back to a serviceable fleet.
+        if (!result.ok()) impl_->state.poisoned = true;
+        return result;
+      });
 }
 
 std::string WorkerFailureClassName(WorkerFailureClass failure) {
@@ -1679,89 +1675,21 @@ StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
     ThreadExecStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) const {
-  if (options.exec.batch_size == 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.batch_size must be positive");
-  }
-  if (options.exec.deadline.has_value() &&
-      options.exec.deadline->count() <= 0) {
-    return Status::InvalidArgument(
-        "ProcessExecOptions::exec.deadline must be positive when set");
-  }
-  MJOIN_RETURN_IF_ERROR(plan.Validate());
-  MJOIN_RETURN_IF_ERROR(CheckPlanCatalog(plan, *database_));
-  MJOIN_RETURN_IF_ERROR(CheckRingFit(plan, options.shm_ring_bytes));
+  MJOIN_RETURN_IF_ERROR(
+      ValidateRequest(plan, options, *database_, options.shm_ring_bytes));
   uint32_t num_workers =
       options.num_workers == 0 ? plan.num_processors : options.num_workers;
   num_workers = std::clamp<uint32_t>(num_workers, 1, plan.num_processors);
-
-  // The deadline is absolute across attempts: retries and their backoffs
-  // spend the same budget the query itself does.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
-  if (options.exec.deadline.has_value()) {
-    // lint:allow-clock absolute retry-spanning deadline, once per Execute
-    deadline = std::chrono::steady_clock::now() + *options.exec.deadline;
-  }
-
-  ProcessExecStats proc;
-  auto publish = [&proc, &options] {
-    if (options.exec.metrics_registry != nullptr) {
-      PublishRecoveryMetrics(proc, options.exec.metrics_registry);
-    }
-  };
-
-  std::chrono::milliseconds backoff = options.retry_backoff;
-  Status failure = Status::OK();
-  for (uint32_t attempt = 0;; ++attempt) {
-    proc.attempts = attempt + 1;
-    Coordinator coordinator(plan, *database_, options, num_workers, attempt,
-                            deadline, &proc);
-    StatusOr<ProcessQueryResult> result = coordinator.Run(stats_out, net_out);
-    if (result.ok()) {
-      result->proc = proc;
-      if (proc_out != nullptr) *proc_out = proc;
-      publish();
-      return result;
-    }
-    failure = result.status();
-    if (!IsRetryableFailure(failure) || attempt >= options.max_retries) break;
-    ++proc.retries;
-    Status slept =
-        BackoffSleep(backoff, deadline, options.exec.cancellation);
-    if (!slept.ok()) {
-      failure = slept;
-      break;
-    }
-    backoff = std::min(backoff * 2, options.retry_backoff_cap);
-  }
-
-  if (options.degrade_to_thread && IsRetryableFailure(failure)) {
-    // The process fleet is unusable in this environment; fall back to the
-    // in-process backend. The shipped fault scenario is deliberately not
-    // carried over — degradation escapes the faulty environment, it does
-    // not re-create it.
-    proc.degraded_to_thread = true;
-    ThreadExecOptions exec = options.exec;
-    exec.fault_injector = nullptr;
-    ThreadExecutor fallback(database_);
-    StatusOr<ThreadQueryResult> degraded =
-        fallback.Execute(plan, exec, stats_out);
-    if (degraded.ok()) {
-      ProcessQueryResult result;
-      result.exec = std::move(degraded).value();
-      result.net.num_workers = 0;  // no fleet produced this result
-      result.proc = proc;
-      if (net_out != nullptr) *net_out = result.net;
-      if (proc_out != nullptr) *proc_out = proc;
-      publish();
-      return result;
-    }
-    failure = degraded.status();
-  }
-
-  if (proc_out != nullptr) *proc_out = proc;
-  publish();
-  return failure;
+  return ExecuteWithRecovery(
+      database_, plan, options, stats_out, net_out, proc_out,
+      [&](uint32_t attempt,
+          const std::optional<std::chrono::steady_clock::time_point>&
+              deadline,
+          ProcessExecStats* proc) {
+        Coordinator coordinator(plan, *database_, options, num_workers,
+                                attempt, deadline, proc);
+        return coordinator.Run(stats_out, net_out);
+      });
 }
 
 }  // namespace mjoin

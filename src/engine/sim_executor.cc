@@ -11,13 +11,9 @@
 #include "exec/batch.h"
 #include "exec/batch_pool.h"
 #include "exec/emit.h"
+#include "engine/op_host.h"
 #include "exec/operator.h"
-#include "exec/pipelining_hash_join.h"
-#include "exec/aggregate.h"
-#include "exec/filter.h"
-#include "exec/scan.h"
 #include "exec/simple_hash_join.h"
-#include "exec/sort_merge_join.h"
 #include "storage/partitioner.h"
 
 namespace mjoin {
@@ -218,44 +214,13 @@ Status SimRun::Prepare() {
     auto& list = instances_[static_cast<size_t>(o.id)];
     for (uint32_t i = 0; i < o.processors.size(); ++i) {
       auto inst = std::make_unique<Instance>(this, o.id, i, o.processors[i]);
-      switch (o.kind) {
-        case XraOpKind::kScan: {
-          const Relation* frag = &scan_fragments_[static_cast<size_t>(o.id)][i];
-          inst->oper = std::make_unique<ScanOp>([frag] { return frag; },
-                                                o.output_schema);
-          break;
-        }
-        case XraOpKind::kRescan: {
-          const Relation* frag =
-              &stored_[static_cast<size_t>(o.stored_result)][i];
-          inst->oper = std::make_unique<ScanOp>([frag] { return frag; },
-                                                o.output_schema);
-          break;
-        }
-        case XraOpKind::kSimpleHashJoin:
-          inst->oper = std::make_unique<SimpleHashJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kPipeliningHashJoin:
-          inst->oper = std::make_unique<PipeliningHashJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kSortMergeJoin:
-          inst->oper = std::make_unique<SortMergeJoinOp>(o.join_spec);
-          break;
-        case XraOpKind::kFilter: {
-          MJOIN_ASSIGN_OR_RETURN(std::unique_ptr<FilterOp> filter,
-                                 FilterOp::Make(o.input_schema, o.filter));
-          inst->oper = std::move(filter);
-          break;
-        }
-        case XraOpKind::kAggregate: {
-          MJOIN_ASSIGN_OR_RETURN(
-              std::unique_ptr<AggregateOp> aggregate,
-              AggregateOp::Make(o.input_schema, o.group_column,
-                                o.value_column));
-          inst->oper = std::move(aggregate);
-          break;
-        }
+      const Relation* fragment = nullptr;
+      if (o.kind == XraOpKind::kScan) {
+        fragment = &scan_fragments_[static_cast<size_t>(o.id)][i];
+      } else if (o.kind == XraOpKind::kRescan) {
+        fragment = &stored_[static_cast<size_t>(o.stored_result)][i];
       }
+      MJOIN_ASSIGN_OR_RETURN(inst->oper, MakeOperator(o, fragment));
       // Expected end-of-stream messages per port.
       {
         for (int port = 0; port < inst->oper->num_input_ports(); ++port) {

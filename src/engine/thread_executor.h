@@ -139,6 +139,13 @@ struct ThreadQueryResult {
   std::shared_ptr<const ThreadTraceRecorder> trace;
 };
 
+/// Publishes one run's batch, buffer, memory, wall-time and per-op
+/// counters under "<prefix>." (plus the "skew." family) — the thread
+/// ("thread") and process ("process") backends share the names.
+void PublishExecMetrics(const std::string& prefix,
+                        const ThreadExecStats& stats, double wall_seconds,
+                        MetricsRegistry* registry);
+
 /// Renders stats.per_op as a fixed-width table (mirrors the simulator's
 /// RenderOpStats); empty string when per_op is empty.
 std::string RenderThreadOpStats(const ThreadExecStats& stats);
