@@ -67,7 +67,60 @@ struct FleetState {
   bool poisoned = false;
 };
 
-/// One forked worker as the coordinator sees it. `chan` points at either
+/// Forks worker `w` over a fresh socketpair and returns the coordinator
+/// end as a conformance-checked channel. The child closes `siblings` (the
+/// coordinator ends of earlier workers' sockets) — a worker holding a
+/// sibling's socket open would mask that sibling's death — and runs
+/// RunProcessWorker over the inherited `plane` or `arena`, which it never
+/// destroys: _exit skips destructors, atexit handlers and (under ASan) the
+/// leak check, all meaningless in a fork child.
+Status ForkWorker(uint32_t w, const std::vector<int>& siblings,
+                  ShmDataPlane* plane, ShmArena* arena, pid_t* pid,
+                  std::unique_ptr<FrameChannel>* chan) {
+  int sv[2];
+  if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
+    return Status::Internal(StrCat("socketpair failed: ", strerror(errno)));
+  }
+  *pid = fork();
+  if (*pid < 0) {
+    close(sv[0]);
+    close(sv[1]);
+    return Status::Internal(StrCat("fork failed: ", strerror(errno)));
+  }
+  if (*pid == 0) {
+    for (int fd : siblings) close(fd);
+    close(sv[0]);
+    _exit(RunProcessWorker(sv[1], plane, arena));
+  }
+  close(sv[1]);
+  MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
+  *chan = std::make_unique<FrameChannel>(sv[0], StrCat("worker ", w));
+  (*chan)->EnableConformance(LinkRole::kCoordinator);
+  return Status::OK();
+}
+
+/// Reaps child `pid`: waits up to `patience_spins` x 10 ms for it to exit
+/// on its own, then SIGKILLs it. The final blocking waitpid is
+/// unconditional, so no path leaves a zombie.
+void ReapChild(pid_t pid, int patience_spins) {
+  int wstatus = 0;
+  for (int spin = 0; spin < patience_spins; ++spin) {
+    pid_t got = waitpid(pid, &wstatus, WNOHANG);
+    if (got < 0 && errno == EINTR) continue;  // interrupted, not reaped
+    // got < 0 here is ECHILD: someone already collected the child.
+    if (got == pid || got < 0) return;
+    struct pollfd none;
+    none.fd = -1;
+    none.events = 0;
+    none.revents = 0;
+    poll(&none, 1, 10);  // portable 10 ms sleep
+  }
+  kill(pid, SIGKILL);
+  while (waitpid(pid, &wstatus, 0) < 0 && errno == EINTR) {
+  }
+}
+
+/// One worker process as the coordinator sees it. `chan` points at either
 /// `owned_chan` (one-shot mode: SpawnFleet forked this worker) or a warm
 /// fleet member's channel (borrowed; outlives the Coordinator).
 struct WorkerProc {
@@ -138,13 +191,8 @@ class Coordinator {
       return;
     }
     for (WorkerProc& w : workers_) {
-      if (w.pid > 0 && !w.reaped) {
-        kill(w.pid, SIGKILL);
-        int ignored;
-        while (waitpid(w.pid, &ignored, 0) < 0 && errno == EINTR) {
-        }
-        w.reaped = true;
-      }
+      if (w.pid > 0 && !w.reaped) ReapChild(w.pid, /*patience_spins=*/0);
+      w.reaped = true;
     }
   }
 
@@ -286,47 +334,22 @@ class Coordinator {
 
 Status Coordinator::SpawnFleet() {
   workers_.resize(num_workers_);
+  std::vector<int> siblings;
   for (uint32_t w = 0; w < num_workers_; ++w) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      return Status::Internal(
-          StrCat("socketpair failed: ", strerror(errno)));
-    }
-    pid_t pid = fork();
-    if (pid < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      return Status::Internal(StrCat("fork failed: ", strerror(errno)));
-    }
-    if (pid == 0) {
-      // Child: drop every descriptor that belongs to the coordinator or a
-      // sibling — a worker holding a sibling's socket open would mask that
-      // sibling's death from the coordinator. _exit skips atexit handlers
-      // and (under ASan) the leak check, both meaningless in a fork child.
-      for (uint32_t prev = 0; prev < w; ++prev) {
-        close(workers_[prev].chan->fd());
-      }
-      close(sv[0]);
-      // The shm plane (mapping + doorbells) is deliberately inherited; the
-      // child never destroys it — _exit skips destructors and the kernel
-      // drops its mapping reference.
-      _exit(RunProcessWorker(sv[1], plane_.get()));
-    }
-    close(sv[1]);
-    MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
-    workers_[w].pid = pid;
-    workers_[w].owned_chan =
-        std::make_unique<FrameChannel>(sv[0], StrCat("worker ", w));
-    workers_[w].owned_chan->EnableConformance(LinkRole::kCoordinator);
-    workers_[w].chan = workers_[w].owned_chan.get();
+    WorkerProc& worker = workers_[w];
+    MJOIN_RETURN_IF_ERROR(ForkWorker(w, siblings, plane_.get(),
+                                     /*arena=*/nullptr, &worker.pid,
+                                     &worker.owned_chan));
+    worker.chan = worker.owned_chan.get();
+    siblings.push_back(worker.chan->fd());
     if (options_.net_fault_injector != nullptr &&
         options_.net_fault_injector->scenario().worker == w) {
       // Installing on the fresh channel resets the injector's per-link
       // latches; its fire budget spans attempts, so a one-shot fault
       // breaks this attempt and lets the next one run clean.
-      workers_[w].chan->set_fault_injector(options_.net_fault_injector);
+      worker.chan->set_fault_injector(options_.net_fault_injector);
     }
-    if (options_.worker_observer) options_.worker_observer(w, pid);
+    if (options_.worker_observer) options_.worker_observer(w, worker.pid);
   }
   return Status::OK();
 }
@@ -1035,30 +1058,9 @@ void Coordinator::DrainCoordRings() {
 
 void Coordinator::ReapWorker(WorkerProc* w, bool force_kill) {
   if (w->pid <= 0 || w->reaped) return;
-  if (force_kill) kill(w->pid, SIGKILL);
-  int wstatus = 0;
   // Bounded patience for the graceful path: a worker that has not exited
-  // within ~5 s of its kShutdown gets the abort treatment. The killed
-  // waitpid below is unconditional, so no path leaves a zombie.
-  if (!force_kill) {
-    for (int spin = 0; spin < 500; ++spin) {
-      pid_t got = waitpid(w->pid, &wstatus, WNOHANG);
-      if (got < 0 && errno == EINTR) continue;  // interrupted, not reaped
-      if (got == w->pid || got < 0) {
-        // got < 0 here is ECHILD: someone already collected the child.
-        w->reaped = true;
-        return;
-      }
-      struct pollfd none;
-      none.fd = -1;
-      none.events = 0;
-      none.revents = 0;
-      poll(&none, 1, 10);  // portable 10 ms sleep
-    }
-    kill(w->pid, SIGKILL);
-  }
-  while (waitpid(w->pid, &wstatus, 0) < 0 && errno == EINTR) {
-  }
+  // within ~5 s of its kShutdown gets the abort treatment.
+  ReapChild(w->pid, force_kill ? 0 : 500);
   w->reaped = true;
 }
 
@@ -1456,31 +1458,14 @@ StatusOr<ProcessQueryResult> ExecuteWithRecovery(
 /// run RunProcessWorker with it; sibling sockets are closed in each child.
 Status SpawnFleetMembers(FleetState* state, uint32_t num_workers) {
   state->members.resize(num_workers);
+  std::vector<int> siblings;
   for (uint32_t w = 0; w < num_workers; ++w) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      return Status::Internal(StrCat("socketpair failed: ", strerror(errno)));
-    }
-    pid_t pid = fork();
-    if (pid < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      return Status::Internal(StrCat("fork failed: ", strerror(errno)));
-    }
-    if (pid == 0) {
-      for (uint32_t prev = 0; prev < w; ++prev) {
-        close(state->members[prev].chan->fd());
-      }
-      close(sv[0]);
-      _exit(RunProcessWorker(sv[1], /*plane=*/nullptr, state->arena.get()));
-    }
-    close(sv[1]);
-    MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
-    state->members[w].pid = pid;
-    state->members[w].chan =
-        std::make_unique<FrameChannel>(sv[0], StrCat("worker ", w));
-    state->members[w].chan->EnableConformance(LinkRole::kCoordinator);
-    state->members[w].reaped = false;
+    FleetMember& member = state->members[w];
+    MJOIN_RETURN_IF_ERROR(ForkWorker(w, siblings, /*plane=*/nullptr,
+                                     state->arena.get(), &member.pid,
+                                     &member.chan));
+    member.reaped = false;
+    siblings.push_back(member.chan->fd());
   }
   state->poisoned = false;
   return Status::OK();
@@ -1491,7 +1476,7 @@ Status SpawnFleetMembers(FleetState* state, uint32_t num_workers) {
 /// reaped by a diagnosing Coordinator.
 void TearDownFleetMembers(FleetState* state, bool graceful) {
   if (graceful) {
-    // Parked workers exit on a bare kShutdown; give each a bounded moment
+    // Parked workers exit on a bare kShutdown; each gets a bounded moment
     // before escalating. A poisoned fleet skips this: its workers may be
     // mid-query and deaf to polite requests.
     for (FleetMember& member : state->members) {
@@ -1499,31 +1484,10 @@ void TearDownFleetMembers(FleetState* state, bool graceful) {
       member.chan->QueueFrame(FrameType::kShutdown, {});
       (void)member.chan->Flush();
     }
-    for (FleetMember& member : state->members) {
-      if (member.pid <= 0 || member.reaped) continue;
-      for (int spin = 0; spin < 200; ++spin) {
-        int wstatus = 0;
-        pid_t got = waitpid(member.pid, &wstatus, WNOHANG);
-        if (got < 0 && errno == EINTR) continue;
-        if (got == member.pid || got < 0) {  // got < 0: ECHILD, collected
-          member.reaped = true;
-          break;
-        }
-        struct pollfd none;
-        none.fd = -1;
-        none.events = 0;
-        none.revents = 0;
-        poll(&none, 1, 10);  // portable 10 ms sleep
-      }
-    }
   }
   for (FleetMember& member : state->members) {
     if (member.pid > 0 && !member.reaped) {
-      kill(member.pid, SIGKILL);
-      int wstatus = 0;
-      while (waitpid(member.pid, &wstatus, 0) < 0 && errno == EINTR) {
-      }
-      member.reaped = true;
+      ReapChild(member.pid, graceful ? 200 : 0);
     }
     member.chan.reset();
   }
