@@ -225,8 +225,7 @@ TEST(ServeGoldenTest, ConcurrentClientsAllStrategiesAllShapes) {
 // A plan whose scan schema disagrees with the served catalog (one scan
 // column renamed) must come back InvalidArgument on both backends, while
 // other tenants' interleaved good plans keep returning verified checksums
-// and the server stays up. Before the catalog check, the thread backend
-// aborted the whole server on that plan.
+// and the server stays up.
 TEST(ServeTest, CatalogMismatchedPlanIsRejectedWhileOthersServe) {
   constexpr int kRelations = 4;
   constexpr uint32_t kCard = 300;
