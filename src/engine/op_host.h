@@ -172,7 +172,6 @@ class OpHost {
       const std::function<bool(uint32_t processor)>& hosts,
       std::vector<std::vector<Relation>> scan_fragments);
 
-  const ParallelPlan& plan() const { return plan_; }
   const XraOp& op(int id) const { return plan_.ops[static_cast<size_t>(id)]; }
   /// Null when this host does not run that instance.
   OpInstance* instance(int op, uint32_t index) {
@@ -191,7 +190,6 @@ class OpHost {
   MemoryBudget* budget() { return &budget_; }
   uint64_t peak_memory_bytes() const { return budget_.peak(); }
   const CostParams& costs() const { return costs_; }
-  FaultInjector* injector() const { return options_.injector; }
   bool collect_metrics() const { return options_.collect_metrics; }
 
   bool aborted() const { return aborted_.load(std::memory_order_acquire); }
