@@ -70,7 +70,7 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 /// v5: skew defense — PlanEnvelope ships SkewDefenseOptions, kOpStats
 ///     carries the skew counters, kSkewReport/kSkewDirective frames.
 /// v6: the shm rings are the only data plane — the socket data frames
-///     (kFragment/kData/kEos/kCredit/kResultRows) and the PlanEnvelope's
+///     (Fragment, Data, Eos, Credit, ResultRows) and the PlanEnvelope's
 ///     data-plane flag are retired.
 inline constexpr uint32_t kNetProtocolVersion = 6;
 
