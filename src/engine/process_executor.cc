@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -41,9 +40,9 @@ namespace mjoin {
 
 namespace {
 
-/// One member of a warm fleet, as it persists between queries: the child
-/// pid and the coordinator end of its socketpair. The channel accumulates
-/// its byte/frame counters across queries; each attaching Coordinator
+/// One member of a fleet, as it persists between queries: the child pid
+/// and the coordinator end of its socketpair. The channel accumulates its
+/// byte/frame counters across queries; each attaching Coordinator
 /// snapshots a baseline to report per-query deltas.
 struct FleetMember {
   pid_t pid = -1;
@@ -51,31 +50,66 @@ struct FleetMember {
   bool reaped = false;
 };
 
-/// A warm fleet's coordinator-side state (WarmProcessFleet::Impl wraps
-/// one). Attempts borrow it: a per-attempt Coordinator attaches to the
-/// members instead of forking its own, and never kills or reaps them on
-/// its own — except diagnosing an already-dead member, which marks it
+/// A fleet of worker processes over one shm arena, and the one attempt
+/// path every process-backed query runs through. A WarmProcessFleet keeps
+/// one for its lifetime; ProcessExecutor::Execute maps one per query,
+/// sized to that plan's ring directory. Each attempt borrows the members:
+/// a per-attempt Coordinator attaches to them, runs the query, and parks
+/// them again with the idle handshake. It never kills or reaps them on
+/// its own — except diagnosing an already-dead member, which it marks
 /// reaped here.
-struct FleetState {
-  std::vector<FleetMember> members;
+struct Fleet {
+  /// Maps an arena holding `num_rings` rings of `ring_bytes`; forks no
+  /// worker yet.
+  static StatusOr<std::unique_ptr<Fleet>> Create(const Database* database,
+                                                 uint32_t num_workers,
+                                                 uint32_t ring_bytes,
+                                                 uint64_t num_rings);
+  /// Gracefully unless poisoned; either way every child is reaped.
+  ~Fleet() { TearDown(/*graceful=*/!poisoned); }
+
+  /// Replaces any current members with freshly forked ones. Children
+  /// inherit the arena mapping; sibling sockets are closed in each child.
+  Status Spawn();
+  /// Kills (gracefully when asked: a parked worker exits on a bare
+  /// kShutdown) and reaps every member, then drops their channels.
+  /// Tolerates members that already died or were reaped by a diagnosing
+  /// Coordinator.
+  void TearDown(bool graceful);
+  /// Runs `plan` under the recovery policy: a retryable failure is retried
+  /// (max_retries) after an exponential backoff on a respawned fleet, then
+  /// — with degrade_to_thread — the query falls back to the thread
+  /// backend. The deadline is absolute across attempts: forks, retries and
+  /// their backoffs spend the same budget the query itself does.
+  StatusOr<ProcessQueryResult> Execute(const ParallelPlan& plan,
+                                       const ProcessExecOptions& options,
+                                       ThreadExecStats* stats_out,
+                                       ProcessNetStats* net_out,
+                                       ProcessExecStats* proc_out);
+
+  const Database* database = nullptr;
+  uint32_t num_workers = 0;
+  uint32_t ring_bytes = 0;
   /// Fleet-lifetime shm arena. Each query lays its own ring directory over
   /// it.
   std::unique_ptr<ShmArena> arena;
-  uint32_t ring_bytes = 0;
+  std::vector<FleetMember> members;
   /// A failed run leaves workers in an unknown state (possibly mid-query);
   /// the fleet must be killed and respawned before the next run.
   bool poisoned = false;
+  /// Spawn() calls so far; every one after the first replaced a fleet.
+  uint64_t spawns = 0;
 };
 
 /// Forks worker `w` over a fresh socketpair and returns the coordinator
 /// end as a conformance-checked channel. The child closes `siblings` (the
 /// coordinator ends of earlier workers' sockets) — a worker holding a
 /// sibling's socket open would mask that sibling's death — and runs
-/// RunProcessWorker over the inherited `plane` or `arena`, which it never
-/// destroys: _exit skips destructors, atexit handlers and (under ASan) the
-/// leak check, all meaningless in a fork child.
+/// RunProcessWorker over the inherited `arena`, which it never destroys:
+/// _exit skips destructors, atexit handlers and (under ASan) the leak
+/// check, all meaningless in a fork child.
 Status ForkWorker(uint32_t w, const std::vector<int>& siblings,
-                  ShmDataPlane* plane, ShmArena* arena, pid_t* pid,
+                  ShmArena* arena, pid_t* pid,
                   std::unique_ptr<FrameChannel>* chan) {
   int sv[2];
   if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
@@ -90,7 +124,7 @@ Status ForkWorker(uint32_t w, const std::vector<int>& siblings,
   if (*pid == 0) {
     for (int fd : siblings) close(fd);
     close(sv[0]);
-    _exit(RunProcessWorker(sv[1], plane, arena));
+    _exit(RunProcessWorker(sv[1], arena));
   }
   close(sv[1]);
   MJOIN_RETURN_IF_ERROR(SetNonBlocking(sv[0]));
@@ -120,52 +154,45 @@ void ReapChild(pid_t pid, int patience_spins) {
   }
 }
 
-/// One worker process as the coordinator sees it. `chan` points at either
-/// `owned_chan` (one-shot mode: SpawnFleet forked this worker) or a warm
+/// One worker process as one attempt's Coordinator sees it. `chan` is the
 /// fleet member's channel (borrowed; outlives the Coordinator).
 struct WorkerProc {
   pid_t pid = -1;
   FrameChannel* chan = nullptr;
-  std::unique_ptr<FrameChannel> owned_chan;
   bool hello_received = false;
   bool bye_received = false;
-  /// Worker acked the end-of-query kShutdown with kIdle and parked
-  /// (warm fleets only).
+  /// Worker acked the end-of-query kShutdown with kIdle and parked.
   bool idle_received = false;
   /// The socket is dead (EOF or error); no further I/O on this worker.
   bool closed = false;
   bool reaped = false;
-  /// Channel counters at attach time; warm channels accumulate across
-  /// queries, so per-query stats subtract this baseline.
+  /// Channel counters at attach time; channels accumulate across queries,
+  /// so per-query stats subtract this baseline.
   ChannelStats base;
 };
 
-/// The coordinator of one process-backed execution: forks the fleet, ships
-/// the plan and (over the relay rings) the fragments, drives the
-/// trigger-group scheduler off milestone frames, and collects the
-/// finish-phase reports. Workers exchange batches pairwise over their own
-/// rings; the coordinator never touches them. Single-threaded: one poll
-/// loop over all worker sockets and its doorbell.
+/// The coordinator of one attempt of a process-backed execution: attaches
+/// to the fleet, ships the plan and (over the relay rings) the fragments,
+/// drives the trigger-group scheduler off milestone frames, collects the
+/// finish-phase reports, and parks the fleet again. Workers exchange
+/// batches pairwise over their own rings; the coordinator never touches
+/// them. Single-threaded: one poll loop over all worker sockets and its
+/// doorbell.
 class Coordinator {
  public:
   /// `attempt` is the 0-based retry attempt (shipped to workers in the
   /// plan envelope); `deadline` is the absolute deadline shared by every
-  /// attempt of one Execute(); `proc` (nullable) accumulates supervision
-  /// counters and failure diagnoses across attempts.
-  /// `fleet` (nullable) switches the Coordinator into warm mode: it
-  /// attaches to the fleet's pre-forked members instead of forking its
-  /// own, ships the plan with persistent = true, and ends the query with
-  /// an idle handshake instead of worker exits.
-  Coordinator(const ParallelPlan& plan, const Database& db,
-              const ProcessExecOptions& options, uint32_t num_workers,
+  /// attempt of one Execute(); `proc` accumulates supervision counters and
+  /// failure diagnoses across attempts.
+  Coordinator(const ParallelPlan& plan, const ProcessExecOptions& options,
               uint32_t attempt,
               std::optional<std::chrono::steady_clock::time_point> deadline,
-              ProcessExecStats* proc, FleetState* fleet = nullptr)
+              ProcessExecStats* proc, Fleet* fleet)
       : plan_(plan),
-        db_(db),
+        db_(*fleet->database),
         options_(options),
         exec_(options.exec),
-        num_workers_(num_workers),
+        num_workers_(fleet->num_workers),
         attempt_(attempt),
         proc_(proc),
         fleet_(fleet),
@@ -177,22 +204,13 @@ class Coordinator {
     }
   }
 
-  /// Safety net for early-error returns: no child outlives the run. A
-  /// warm-mode Coordinator only borrows its workers, so it propagates what
-  /// it learned (a member it reaped, a dead socket) back to the fleet and
-  /// leaves the killing to WarmProcessFleet.
+  /// The Coordinator only borrows its workers, so it propagates what it
+  /// learned (a member it reaped, a dead socket) back to the fleet and
+  /// leaves the killing to the fleet.
   ~Coordinator() {
-    if (fleet_ != nullptr) {
-      for (uint32_t w = 0; w < workers_.size() && w < fleet_->members.size();
-           ++w) {
-        if (workers_[w].reaped) fleet_->members[w].reaped = true;
-        if (workers_[w].closed) fleet_->poisoned = true;
-      }
-      return;
-    }
-    for (WorkerProc& w : workers_) {
-      if (w.pid > 0 && !w.reaped) ReapChild(w.pid, /*patience_spins=*/0);
-      w.reaped = true;
+    for (uint32_t w = 0; w < workers_.size(); ++w) {
+      if (workers_[w].reaped) fleet_->members[w].reaped = true;
+      if (workers_[w].closed) fleet_->poisoned = true;
     }
   }
 
@@ -213,16 +231,15 @@ class Coordinator {
         .count();
   }
 
-  Status SpawnFleet();
-  /// Warm mode: binds workers_ to the fleet's members and formats this
-  /// query's ring directory over the fleet's arena. Only
-  /// called with every member parked idle — the previous query's idle
-  /// handshake (or the fleet's spawn) guarantees no worker is touching the
-  /// arena while the rings are reformatted.
+  /// Binds workers_ to the fleet's members and formats this query's ring
+  /// directory over the fleet's arena. Only called with every member
+  /// parked idle — the previous query's idle handshake (or the fleet's
+  /// spawn) guarantees no worker is touching the arena while the rings are
+  /// reformatted.
   Status AttachFleet();
-  /// Warm mode end-of-query: kShutdown to every worker (ending its query,
-  /// not its process), then polls until each acks with kIdle and is parked.
-  /// Any failure here means the fleet's state is unknown — the caller must
+  /// End-of-query: kShutdown to every worker (ending its query, not its
+  /// process), then polls until each acks with kIdle and is parked. Any
+  /// failure here means the fleet's state is unknown — the caller must
   /// poison it — but the query's own result stands.
   Status AwaitFleetIdle();
   Status ShipPlans();
@@ -259,13 +276,6 @@ class Coordinator {
   /// kUnavailable (environmental, so the retry loop may recover).
   void AbortCorruptWire(uint32_t w, const std::string& detail);
 
-  /// Graceful teardown: kShutdown + flush + reap; falls back to SIGKILL
-  /// for any worker that does not drain or exit in time.
-  void ShutdownFleet();
-  /// Abort teardown: SIGKILL and reap everything, close every channel.
-  void KillFleet();
-  void ReapWorker(WorkerProc* w, bool force_kill);
-
   ThreadExecStats GatherStats() const;
   void GatherNetStats();
 
@@ -276,15 +286,14 @@ class Coordinator {
   const uint32_t num_workers_;
   const uint32_t attempt_;
   ProcessExecStats* const proc_;
-  /// Warm fleet this attempt borrows its workers from (nullptr = one-shot
-  /// mode: fork a fleet, let it exit with the query).
-  FleetState* const fleet_;
+  /// The fleet this attempt borrows its workers and arena from.
+  Fleet* const fleet_;
 
   SchemaRegistry registry_;
   QueryController controller_;
   std::vector<WorkerProc> workers_;
-  /// Created pre-fork so the fleet inherits the mapping; destroyed with
-  /// this per-attempt Coordinator, so a retried fleet maps fresh rings.
+  /// This query's ring directory, formatted over the fleet's arena at
+  /// attach, so every attempt starts from freshly initialized rings.
   std::unique_ptr<ShmDataPlane> plane_;
   std::string plan_text_;
   uint64_t plan_hash_ = 0;
@@ -332,37 +341,7 @@ class Coordinator {
   std::shared_ptr<ThreadTraceRecorder> trace_;
 };
 
-Status Coordinator::SpawnFleet() {
-  workers_.resize(num_workers_);
-  std::vector<int> siblings;
-  for (uint32_t w = 0; w < num_workers_; ++w) {
-    WorkerProc& worker = workers_[w];
-    MJOIN_RETURN_IF_ERROR(ForkWorker(w, siblings, plane_.get(),
-                                     /*arena=*/nullptr, &worker.pid,
-                                     &worker.owned_chan));
-    worker.chan = worker.owned_chan.get();
-    siblings.push_back(worker.chan->fd());
-    if (options_.net_fault_injector != nullptr &&
-        options_.net_fault_injector->scenario().worker == w) {
-      // Installing on the fresh channel resets the injector's per-link
-      // latches; its fire budget spans attempts, so a one-shot fault
-      // breaks this attempt and lets the next one run clean.
-      worker.chan->set_fault_injector(options_.net_fault_injector);
-    }
-    if (options_.worker_observer) options_.worker_observer(w, worker.pid);
-  }
-  return Status::OK();
-}
-
 Status Coordinator::AttachFleet() {
-  if (fleet_->poisoned) {
-    return Status::Internal("attaching to a poisoned warm fleet");
-  }
-  if (fleet_->members.size() != num_workers_) {
-    return Status::Internal(
-        StrCat("warm fleet has ", fleet_->members.size(), " members but the "
-               "attempt expects ", num_workers_, " workers"));
-  }
   // Format this query's ring directory over the fleet's arena. Every
   // member is parked idle right now, so nobody else touches the region.
   MJOIN_ASSIGN_OR_RETURN(
@@ -372,15 +351,14 @@ Status Coordinator::AttachFleet() {
   workers_.resize(num_workers_);
   for (uint32_t w = 0; w < num_workers_; ++w) {
     FleetMember& member = fleet_->members[w];
-    if (member.pid <= 0 || member.chan == nullptr || member.reaped) {
-      return Status::Internal(
-          StrCat("warm fleet member ", w, " is not attachable"));
-    }
     workers_[w].pid = member.pid;
     workers_[w].chan = member.chan.get();
     workers_[w].base = member.chan->stats();
     if (options_.net_fault_injector != nullptr &&
         options_.net_fault_injector->scenario().worker == w) {
+      // Installing resets the injector's per-link latches; its fire budget
+      // spans attempts, so a one-shot fault breaks this attempt and lets
+      // the next one run clean.
       workers_[w].chan->set_fault_injector(options_.net_fault_injector);
     }
     if (options_.worker_observer) options_.worker_observer(w, member.pid);
@@ -432,7 +410,6 @@ Status Coordinator::ShipPlans() {
     env.plan_text = plan_text_;
     env.attempt = attempt_;
     env.shm_ring_bytes = plane_->ring_bytes();
-    env.persistent = fleet_ != nullptr;
     // Shipped in full so the worker derives the same defended-join set
     // and thresholds the coordinator sized its mergers from.
     env.skew_defense = exec_.skew_defense;
@@ -863,9 +840,7 @@ void Coordinator::HandleFrame(uint32_t w, Frame frame) {
       }
       return;
     case FrameType::kIdle:
-      // A persistent worker's ack that it tore down the query's state and
-      // parked; only a warm-mode end-of-query handshake expects it.
-      if (fleet_ == nullptr) break;
+      // The worker's ack that it tore down the query's state and parked.
       worker.idle_received = true;
       return;
     case FrameType::kSkewReport: {
@@ -1021,94 +996,28 @@ void Coordinator::DrainCoordRings() {
       if (!*any) break;  // only pads remained below the snapshot
       ++net_.shm_records_received;
       net_.shm_bytes_received += rec.payload_bytes;
-      if (rec.type != ShmRecordType::kResultRows) {
-        ring->Release();
-        AbortCorruptWire(from, StrCat("unexpected shm ",
-                                      ShmRecordTypeName(rec.type),
-                                      " record on a relay ring"));
-        break;
-      }
       ShmResultRowsHeader hdr;
-      if (rec.payload_bytes < sizeof(hdr)) {
-        ring->Release();
-        AbortCorruptWire(from, "short shm result-rows header");
-        break;
+      Status valid = Status::OK();
+      if (rec.type != ShmRecordType::kResultRows) {
+        valid = Status::Unavailable(StrCat("unexpected shm ",
+                                           ShmRecordTypeName(rec.type),
+                                           " record on a relay ring"));
+      } else if (!materialized_.has_value()) {
+        valid = Status::Unavailable("result rows while materialization is off");
+      } else {
+        valid = ReadRowRecordHeader(rec, registry_, &hdr);
       }
-      std::memcpy(&hdr, rec.payload, sizeof(hdr));
-      if (!materialized_.has_value()) {
-        ring->Release();
-        AbortCorruptWire(from, "result rows while materialization is off");
-        break;
+      if (valid.ok()) {
+        materialized_->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples);
       }
-      if (hdr.schema_id >= registry_.size() ||
-          registry_.Get(hdr.schema_id)->tuple_size() != hdr.tuple_size ||
-          rec.payload_bytes !=
-              sizeof(hdr) + uint64_t{hdr.num_tuples} * hdr.tuple_size) {
-        ring->Release();
-        AbortCorruptWire(from, "shm result-rows record fails validation");
-        break;
-      }
-      materialized_->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples);
       ring->Release();
       released = true;
+      if (!valid.ok()) {
+        AbortCorruptWire(from, valid.message());
+        break;
+      }
     }
     if (released) plane_->RingDoorbell(from);
-  }
-}
-
-void Coordinator::ReapWorker(WorkerProc* w, bool force_kill) {
-  if (w->pid <= 0 || w->reaped) return;
-  // Bounded patience for the graceful path: a worker that has not exited
-  // within ~5 s of its kShutdown gets the abort treatment.
-  ReapChild(w->pid, force_kill ? 0 : 500);
-  w->reaped = true;
-}
-
-void Coordinator::ShutdownFleet() {
-  for (WorkerProc& w : workers_) {
-    if (!w.closed) w.chan->QueueFrame(FrameType::kShutdown, {});
-  }
-  // Drain the shutdown frames (tiny; one flush round normally suffices).
-  auto flush_deadline =
-      // lint:allow-clock shutdown flush deadline, teardown only
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  for (;;) {
-    bool pending = false;
-    for (uint32_t w = 0; w < num_workers_; ++w) {
-      WorkerProc& worker = workers_[w];
-      if (worker.closed) continue;
-      Status flushed = worker.chan->Flush();
-      if (!flushed.ok()) {
-        worker.closed = true;
-        worker.chan->Close();
-        continue;
-      }
-      if (worker.chan->has_pending_output()) pending = true;
-    }
-    // lint:allow-clock shutdown flush deadline, teardown only
-    if (!pending || std::chrono::steady_clock::now() >= flush_deadline) break;
-    struct pollfd none;
-    none.fd = -1;
-    none.events = 0;
-    none.revents = 0;
-    poll(&none, 1, 5);
-  }
-  for (WorkerProc& w : workers_) {
-    ReapWorker(&w, /*force_kill=*/false);
-    if (!w.closed) {
-      w.closed = true;
-      w.chan->Close();
-    }
-  }
-}
-
-void Coordinator::KillFleet() {
-  for (WorkerProc& w : workers_) {
-    ReapWorker(&w, /*force_kill=*/true);
-    if (w.chan != nullptr && !w.closed) {
-      w.closed = true;
-      w.chan->Close();
-    }
   }
 }
 
@@ -1124,6 +1033,9 @@ ThreadExecStats Coordinator::GatherStats() const {
     stats.batch_buffers_allocated += w.buffers_allocated;
     stats.batch_buffers_reused += w.buffers_reused;
     stats.peak_memory_bytes += w.peak_memory_bytes;
+    // Each worker's ring backlog is its outbound queue.
+    stats.peak_queue_depth = std::max<size_t>(stats.peak_queue_depth,
+                                              w.peak_ring_backlog);
   }
   if (exec_.collect_metrics) stats.per_op = per_op_;
   return stats;
@@ -1132,9 +1044,8 @@ ThreadExecStats Coordinator::GatherStats() const {
 void Coordinator::GatherNetStats() {
   net_.num_workers = num_workers_;
   for (const WorkerProc& w : workers_) {
-    if (w.chan == nullptr) continue;
-    // Warm channels accumulate across queries; `base` (zero in one-shot
-    // mode) pins the counters to this query.
+    // Channels accumulate across queries; `base` pins the counters to this
+    // query.
     const ChannelStats& ch = w.chan->stats();
     net_.bytes_sent += ch.bytes_sent - w.base.bytes_sent;
     net_.bytes_received += ch.bytes_received - w.base.bytes_received;
@@ -1153,9 +1064,7 @@ void Coordinator::GatherNetStats() {
     net_.shm_bytes_received += w.shm_bytes_received;
     net_.ring_full_stalls += w.ring_full_stalls;
   }
-  if (plane_ != nullptr) {  // null when the attempt failed before mapping
-    net_.shm_rings = static_cast<uint32_t>(plane_->num_rings());
-  }
+  net_.shm_rings = static_cast<uint32_t>(plane_->num_rings());
 }
 
 /// Publishes run counters mirroring the thread backend's names under the
@@ -1234,17 +1143,7 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   plan_text_ = SerializePlan(plan_);
   plan_hash_ = FnvHash64(plan_text_);
 
-  if (fleet_ != nullptr) {
-    MJOIN_RETURN_IF_ERROR(AttachFleet());
-  } else {
-    // Created pre-fork so the fleet inherits the mapping; torn down with
-    // this Coordinator, so every retry attempt maps fresh zeroed rings.
-    MJOIN_ASSIGN_OR_RETURN(
-        plane_,
-        ShmDataPlane::Create(ComputeRingDirectory(plan_, num_workers_),
-                             num_workers_ + 1, options_.shm_ring_bytes));
-    MJOIN_RETURN_IF_ERROR(SpawnFleet());
-  }
+  MJOIN_RETURN_IF_ERROR(AttachFleet());
   MJOIN_RETURN_IF_ERROR(ShipPlans());
   MJOIN_RETURN_IF_ERROR(ShipFragments());
   if (CheckRuntime()) {
@@ -1261,24 +1160,13 @@ StatusOr<ProcessQueryResult> Coordinator::Run(ThreadExecStats* stats_out,
   // lint:allow-clock run wall-clock end, once per query
   auto end = std::chrono::steady_clock::now();
 
-  // The teardown can itself abort (a worker dying during the warm idle
-  // handshake); that poisons the fleet but must not fail a query whose
-  // result is already in, so the final verdict is snapshotted here.
+  // The idle handshake can itself abort (a worker dying during it); that
+  // poisons the fleet but must not fail a query whose result is already
+  // in, so the final verdict is snapshotted here. A failed run skips it:
+  // its workers may be mid-query and unwilling to park, so the fleet
+  // kills and respawns them.
   const bool run_failed = aborted_;
-  if (fleet_ != nullptr) {
-    if (run_failed) {
-      // Workers may be mid-query and unwilling to park; the fleet owner
-      // kills and respawns them. Never kill borrowed members here.
-      fleet_->poisoned = true;
-    } else {
-      Status idle = AwaitFleetIdle();
-      if (!idle.ok()) fleet_->poisoned = true;
-    }
-  } else if (run_failed) {
-    KillFleet();
-  } else {
-    ShutdownFleet();
-  }
+  if (!run_failed && !AwaitFleetIdle().ok()) fleet_->poisoned = true;
 
   GatherNetStats();
   ThreadExecStats stats = GatherStats();
@@ -1377,24 +1265,62 @@ Status ValidateRequest(const ParallelPlan& plan,
   return CheckRingFit(plan, ring_bytes);
 }
 
-/// One attempt of a process-backed execution, given its 0-based number,
-/// the deadline shared by every attempt, and the accumulating supervision
-/// counters.
-using AttemptFn = std::function<StatusOr<ProcessQueryResult>(
-    uint32_t attempt,
-    const std::optional<std::chrono::steady_clock::time_point>& deadline,
-    ProcessExecStats* proc)>;
+StatusOr<std::unique_ptr<Fleet>> Fleet::Create(const Database* database,
+                                               uint32_t num_workers,
+                                               uint32_t ring_bytes,
+                                               uint64_t num_rings) {
+  auto fleet = std::make_unique<Fleet>();
+  fleet->database = database;
+  fleet->num_workers = num_workers;
+  fleet->ring_bytes = ring_bytes;
+  MJOIN_ASSIGN_OR_RETURN(
+      fleet->arena,
+      ShmArena::Create(num_workers + 1,
+                       (sizeof(ShmRingHdr) + ring_bytes) * num_rings));
+  return StatusOr<std::unique_ptr<Fleet>>(std::move(fleet));
+}
 
-/// The recovery policy of one-shot and warm execution alike: a retryable
-/// failure is retried (max_retries) after an exponential backoff, then —
-/// with degrade_to_thread — the query falls back to the thread backend.
-/// The deadline is absolute across attempts: retries and their backoffs
-/// spend the same budget the query itself does.
-StatusOr<ProcessQueryResult> ExecuteWithRecovery(
-    const Database* database, const ParallelPlan& plan,
-    const ProcessExecOptions& options, ThreadExecStats* stats_out,
-    ProcessNetStats* net_out, ProcessExecStats* proc_out,
-    const AttemptFn& run_attempt) {
+Status Fleet::Spawn() {
+  TearDown(/*graceful=*/false);
+  ++spawns;
+  // A partly forked fleet is as unusable as a failed one.
+  poisoned = true;
+  members.resize(num_workers);
+  std::vector<int> siblings;
+  for (uint32_t w = 0; w < num_workers; ++w) {
+    FleetMember& member = members[w];
+    MJOIN_RETURN_IF_ERROR(
+        ForkWorker(w, siblings, arena.get(), &member.pid, &member.chan));
+    siblings.push_back(member.chan->fd());
+  }
+  poisoned = false;
+  return Status::OK();
+}
+
+void Fleet::TearDown(bool graceful) {
+  if (graceful) {
+    // Parked workers exit on a bare kShutdown; each gets a bounded moment
+    // before escalating. A poisoned fleet skips this: its workers may be
+    // mid-query and deaf to polite requests.
+    for (FleetMember& member : members) {
+      if (member.chan == nullptr || member.reaped) continue;
+      member.chan->QueueFrame(FrameType::kShutdown, {});
+      (void)member.chan->Flush();
+    }
+  }
+  for (FleetMember& member : members) {
+    if (member.pid > 0 && !member.reaped) {
+      ReapChild(member.pid, graceful ? 200 : 0);
+    }
+  }
+  members.clear();
+}
+
+StatusOr<ProcessQueryResult> Fleet::Execute(const ParallelPlan& plan,
+                                            const ProcessExecOptions& options,
+                                            ThreadExecStats* stats_out,
+                                            ProcessNetStats* net_out,
+                                            ProcessExecStats* proc_out) {
   std::optional<std::chrono::steady_clock::time_point> deadline;
   if (options.exec.deadline.has_value()) {
     // lint:allow-clock absolute retry-spanning deadline, once per Execute
@@ -1416,9 +1342,20 @@ StatusOr<ProcessQueryResult> ExecuteWithRecovery(
   Status failure = Status::OK();
   for (uint32_t attempt = 0;; ++attempt) {
     proc.attempts = attempt + 1;
+    // The first attempt of a per-query fleet forks it here, inside the
+    // deadline; a poisoned fleet is replaced.
+    const Status spawned =
+        poisoned || members.empty() ? Spawn() : Status::OK();
     StatusOr<ProcessQueryResult> result =
-        run_attempt(attempt, deadline, &proc);
+        spawned.ok()
+            ? Coordinator(plan, options, attempt, deadline, &proc, this)
+                  .Run(stats_out, net_out)
+            : StatusOr<ProcessQueryResult>(spawned);
     if (result.ok()) return finish(std::move(result));
+    // Any failure — even a deterministic one — leaves workers possibly
+    // mid-query and unable to take a new plan; a respawn is the only safe
+    // way back to a serviceable fleet.
+    poisoned = true;
     failure = result.status();
     if (!IsRetryableFailure(failure) || attempt >= options.max_retries) break;
     ++proc.retries;
@@ -1453,72 +1390,17 @@ StatusOr<ProcessQueryResult> ExecuteWithRecovery(
   return finish(failure);
 }
 
-/// Forks `num_workers` persistent workers into `state` (arena and
-/// ring_bytes must already be set). Children inherit the arena mapping and
-/// run RunProcessWorker with it; sibling sockets are closed in each child.
-Status SpawnFleetMembers(FleetState* state, uint32_t num_workers) {
-  state->members.resize(num_workers);
-  std::vector<int> siblings;
-  for (uint32_t w = 0; w < num_workers; ++w) {
-    FleetMember& member = state->members[w];
-    MJOIN_RETURN_IF_ERROR(ForkWorker(w, siblings, /*plane=*/nullptr,
-                                     state->arena.get(), &member.pid,
-                                     &member.chan));
-    member.reaped = false;
-    siblings.push_back(member.chan->fd());
-  }
-  state->poisoned = false;
-  return Status::OK();
-}
-
-/// Kills (gracefully when asked and possible) and reaps every member, then
-/// drops their channels. Tolerates members that already died or were
-/// reaped by a diagnosing Coordinator.
-void TearDownFleetMembers(FleetState* state, bool graceful) {
-  if (graceful) {
-    // Parked workers exit on a bare kShutdown; each gets a bounded moment
-    // before escalating. A poisoned fleet skips this: its workers may be
-    // mid-query and deaf to polite requests.
-    for (FleetMember& member : state->members) {
-      if (member.chan == nullptr || member.reaped) continue;
-      member.chan->QueueFrame(FrameType::kShutdown, {});
-      (void)member.chan->Flush();
-    }
-  }
-  for (FleetMember& member : state->members) {
-    if (member.pid > 0 && !member.reaped) {
-      ReapChild(member.pid, graceful ? 200 : 0);
-    }
-    member.chan.reset();
-  }
-  state->members.clear();
-}
-
 }  // namespace
 
 struct WarmProcessFleet::Impl {
-  const Database* database = nullptr;
-  WarmFleetOptions options;
   /// Serializes Execute() calls and fleet mutation (respawn, teardown).
   mutable std::mutex mutex;
-  FleetState state;
-  uint64_t respawn_count = 0;
-
-  /// Replaces a poisoned (or dead) fleet with a fresh one. The arena is
-  /// reused — its rings are reformatted at the next attach anyway.
-  Status Respawn() {
-    TearDownFleetMembers(&state, /*graceful=*/false);
-    ++respawn_count;
-    return SpawnFleetMembers(&state, options.num_workers);
-  }
+  std::unique_ptr<Fleet> fleet;
 };
 
 WarmProcessFleet::WarmProcessFleet() : impl_(std::make_unique<Impl>()) {}
 
-WarmProcessFleet::~WarmProcessFleet() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  TearDownFleetMembers(&impl_->state, /*graceful=*/!impl_->state.poisoned);
-}
+WarmProcessFleet::~WarmProcessFleet() = default;
 
 StatusOr<std::unique_ptr<WarmProcessFleet>> WarmProcessFleet::Spawn(
     const Database* database, const WarmFleetOptions& options) {
@@ -1530,71 +1412,42 @@ StatusOr<std::unique_ptr<WarmProcessFleet>> WarmProcessFleet::Spawn(
         "WarmFleetOptions::num_workers must be positive");
   }
   // lint:allow-new private ctor; make_unique cannot reach it
-  std::unique_ptr<WarmProcessFleet> fleet(new WarmProcessFleet());
-  Impl* impl = fleet->impl_.get();
-  impl->database = database;
-  impl->options = options;
+  std::unique_ptr<WarmProcessFleet> warm(new WarmProcessFleet());
   // Size the arena for the worst-case directory of an n-worker fleet:
   // both relay directions per worker plus every ordered worker pair,
   // n(n+1) rings in all — any plan's directory fits.
   const uint64_t n = options.num_workers;
-  const uint64_t slot = sizeof(ShmRingHdr) + options.shm_ring_bytes;
-  MJOIN_ASSIGN_OR_RETURN(
-      impl->state.arena,
-      ShmArena::Create(options.num_workers + 1, slot * n * (n + 1)));
-  impl->state.ring_bytes = options.shm_ring_bytes;
-  MJOIN_RETURN_IF_ERROR(
-      SpawnFleetMembers(&impl->state, options.num_workers));
-  return fleet;
+  MJOIN_ASSIGN_OR_RETURN(warm->impl_->fleet,
+                         Fleet::Create(database, options.num_workers,
+                                       options.shm_ring_bytes, n * (n + 1)));
+  MJOIN_RETURN_IF_ERROR(warm->impl_->fleet->Spawn());
+  return warm;
 }
 
 uint32_t WarmProcessFleet::num_workers() const {
-  return impl_->options.num_workers;
+  return impl_->fleet->num_workers;
 }
 
 pid_t WarmProcessFleet::worker_pid(uint32_t w) const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return w < impl_->state.members.size() ? impl_->state.members[w].pid : -1;
+  const std::vector<FleetMember>& members = impl_->fleet->members;
+  return w < members.size() ? members[w].pid : -1;
 }
 
 uint64_t WarmProcessFleet::respawns() const {
   std::lock_guard<std::mutex> lock(impl_->mutex);
-  return impl_->respawn_count;
+  return impl_->fleet->spawns - 1;
 }
 
 StatusOr<ProcessQueryResult> WarmProcessFleet::Execute(
     const ParallelPlan& plan, const ProcessExecOptions& options,
     ThreadExecStats* stats_out, ProcessNetStats* net_out,
     ProcessExecStats* proc_out) {
-  MJOIN_RETURN_IF_ERROR(ValidateRequest(plan, options, *impl_->database,
-                                        impl_->options.shm_ring_bytes));
+  Fleet& fleet = *impl_->fleet;
+  MJOIN_RETURN_IF_ERROR(
+      ValidateRequest(plan, options, *fleet.database, fleet.ring_bytes));
   std::lock_guard<std::mutex> lock(impl_->mutex);
-
-  // The fleet's spawn-time shape wins over the per-query knobs: the
-  // workers and the arena already exist.
-  ProcessExecOptions opts = options;
-  opts.num_workers = impl_->options.num_workers;
-  opts.shm_ring_bytes = impl_->state.ring_bytes;
-  return ExecuteWithRecovery(
-      impl_->database, plan, opts, stats_out, net_out, proc_out,
-      [&](uint32_t attempt,
-          const std::optional<std::chrono::steady_clock::time_point>&
-              deadline,
-          ProcessExecStats* proc) -> StatusOr<ProcessQueryResult> {
-        if (impl_->state.poisoned || impl_->state.members.empty()) {
-          MJOIN_RETURN_IF_ERROR(impl_->Respawn());
-        }
-        Coordinator coordinator(plan, *impl_->database, opts,
-                                impl_->options.num_workers, attempt,
-                                deadline, proc, &impl_->state);
-        StatusOr<ProcessQueryResult> result =
-            coordinator.Run(stats_out, net_out);
-        // Any failure — even a deterministic one — leaves workers possibly
-        // mid-query and unable to take a new plan; a respawn is the only
-        // safe way back to a serviceable fleet.
-        if (!result.ok()) impl_->state.poisoned = true;
-        return result;
-      });
+  return fleet.Execute(plan, options, stats_out, net_out, proc_out);
 }
 
 std::string WorkerFailureClassName(WorkerFailureClass failure) {
@@ -1644,16 +1497,13 @@ StatusOr<ProcessQueryResult> ProcessExecutor::Execute(
   uint32_t num_workers =
       options.num_workers == 0 ? plan.num_processors : options.num_workers;
   num_workers = std::clamp<uint32_t>(num_workers, 1, plan.num_processors);
-  return ExecuteWithRecovery(
-      database_, plan, options, stats_out, net_out, proc_out,
-      [&](uint32_t attempt,
-          const std::optional<std::chrono::steady_clock::time_point>&
-              deadline,
-          ProcessExecStats* proc) {
-        Coordinator coordinator(plan, *database_, options, num_workers,
-                                attempt, deadline, proc);
-        return coordinator.Run(stats_out, net_out);
-      });
+  // A per-query fleet maps only this plan's ring directory (a warm fleet
+  // maps its worst case instead; see WarmProcessFleet::Spawn).
+  MJOIN_ASSIGN_OR_RETURN(
+      std::unique_ptr<Fleet> fleet,
+      Fleet::Create(database_, num_workers, options.shm_ring_bytes,
+                    ComputeRingDirectory(plan, num_workers).size()));
+  return fleet->Execute(plan, options, stats_out, net_out, proc_out);
 }
 
 }  // namespace mjoin

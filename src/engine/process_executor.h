@@ -39,15 +39,16 @@ struct ProcessExecOptions {
   /// [1, plan.num_processors]. Processors are block-mapped onto workers,
   /// which keeps colocated producer/consumer pairs process-local.
   uint32_t num_workers = 0;
-  /// Test hook: observes every forked worker (worker id, pid) right after
-  /// the fork, before any query work. Lets fault tests target a live
-  /// worker with a real signal. Called once per fork, on every attempt.
+  /// Test hook: observes every worker (worker id, pid) once per attempt,
+  /// when the attempt attaches to it, before any query work. Lets fault
+  /// tests target a live worker with a real signal.
   std::function<void(uint32_t worker, pid_t pid)> worker_observer;
   /// Automatic retries after a retryable failure (IsRetryableFailure — an
   /// environmental fault such as a crashed worker or corrupt wire, not a
-  /// deterministic error that would only recur). Each retry reaps the old
-  /// fleet, sleeps an exponential backoff, forks a fresh fleet, and
-  /// re-ships the plan. 0 = fail on first error (the historical behavior).
+  /// deterministic error that would only recur). Each retry sleeps an
+  /// exponential backoff, kills and reaps the old fleet, forks a fresh one
+  /// into the same arena, and re-ships the plan. 0 = fail on first error
+  /// (the historical behavior).
   uint32_t max_retries = 0;
   /// First-retry backoff; doubles per retry up to retry_backoff_cap. The
   /// sleep honors the deadline and the cancellation token.
@@ -66,7 +67,7 @@ struct ProcessExecOptions {
   /// legitimate silent stretch (a big build side, a saturated outbox).
   std::chrono::milliseconds liveness_timeout{0};
   /// Network-level chaos (tests only): installed on one worker's channel
-  /// at spawn time. Caller-owned; must outlive Execute(). Its fire budget
+  /// at attach time. Caller-owned; must outlive Execute(). Its fire budget
   /// spans retries, so a one-shot fault breaks one attempt and lets the
   /// next run clean.
   NetFaultInjector* net_fault_injector = nullptr;
@@ -74,9 +75,10 @@ struct ProcessExecOptions {
   /// mmap'd SPSC rings shared by the whole fleet (control frames stay on
   /// the socket); workers exchange data pairwise. Data bytes per ring;
   /// power of two >= 4096. A plan whose widest row does not fit one ring
-  /// record is refused with InvalidArgument before anything is shipped.
-  /// Rings are torn down and re-mapped per attempt, so a retried fleet
-  /// starts from zeroed rings.
+  /// record is refused with InvalidArgument before anything is forked.
+  /// Execute maps an arena for exactly this plan's ring directory; every
+  /// attempt reformats the rings, so a retried fleet starts from fresh
+  /// ring headers.
   uint32_t shm_ring_bytes = 1u << 18;
 };
 
@@ -108,7 +110,7 @@ struct WorkerFailureRecord {
 /// Supervision and recovery counters of one Execute() call, accumulated
 /// across every attempt.
 struct ProcessExecStats {
-  /// Fleets spawned (1 = no retry happened).
+  /// Attempts run (1 = no retry happened).
   uint32_t attempts = 1;
   /// Retries actually performed (attempts - 1 unless degradation cut in).
   uint32_t retries = 0;
@@ -170,12 +172,14 @@ std::string RenderProcessNetStats(const ProcessNetStats& net);
 /// Executes parallel plans on a fleet of worker *processes* — the
 /// shared-nothing backend. Where the thread backend substitutes one thread
 /// per simulated processor, this backend forks one single-threaded worker
-/// process per group of processors. Control frames (plan, triggers,
-/// milestones, reports) travel over one Unix-domain socketpair per worker
-/// to the coordinator; tuple batches travel pairwise between workers over
-/// shared-memory SPSC rings. No heap state is shared post-fork: workers
-/// receive the plan as textual XRA, re-hydrate their operators from it,
-/// and hold only their own fragments.
+/// process per group of processors. Each Execute() runs on its own fleet
+/// through the same attempt path a WarmProcessFleet uses (attach, run,
+/// park with the idle handshake) and tears the fleet down at the end.
+/// Control frames (plan, triggers, milestones, reports) travel over one
+/// Unix-domain socketpair per worker to the coordinator; tuple batches
+/// travel pairwise between workers over shared-memory SPSC rings. No heap
+/// state is shared post-fork: workers receive the plan as textual XRA,
+/// re-hydrate their operators from it, and hold only their own fragments.
 ///
 /// Failure model: a worker that dies mid-query (crash, OOM kill, kill -9)
 /// is detected by its socket closing; a worker that wedges silently is
@@ -192,7 +196,7 @@ class ProcessExecutor {
   /// `database` must outlive the executor.
   explicit ProcessExecutor(const Database* database);
 
-  /// Runs `plan` on a freshly forked worker fleet, retrying per
+  /// Runs `plan` on a fleet forked for this query, retrying per
   /// options.max_retries. On failure the status is the root cause
   /// (kUnavailable for a dead/hung/corrupt worker after the retry budget,
   /// the worker's own status for worker-side errors, Cancelled/

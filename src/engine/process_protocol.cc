@@ -35,7 +35,6 @@ void EncodePlanEnvelope(const PlanEnvelope& env, std::vector<std::byte>* out) {
   PutString(out, env.plan_text);
   PutU32(out, env.attempt);
   PutU32(out, env.shm_ring_bytes);
-  PutBool(out, env.persistent);
   PutU8(out, static_cast<uint8_t>(env.skew_defense.mode));
   PutU32(out, env.skew_defense.bloom_bits);
   PutU32(out, env.skew_defense.sketch_capacity);
@@ -59,7 +58,6 @@ Status DecodePlanEnvelope(WireReader* reader, PlanEnvelope* env) {
   MJOIN_RETURN_IF_ERROR(reader->ReadString(&env->plan_text));
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->attempt));
   MJOIN_RETURN_IF_ERROR(reader->ReadU32(&env->shm_ring_bytes));
-  MJOIN_RETURN_IF_ERROR(ReadBool(reader, &env->persistent));
   uint8_t mode;
   MJOIN_RETURN_IF_ERROR(reader->ReadU8(&mode));
   if (mode > static_cast<uint8_t>(SkewDefenseMode::kAuto)) {
@@ -375,6 +373,7 @@ void EncodeWorkerRunStats(const WorkerRunStats& stats,
   PutU64(out, stats.shm_bytes_sent);
   PutU64(out, stats.shm_bytes_received);
   PutU64(out, stats.ring_full_stalls);
+  PutU64(out, stats.peak_ring_backlog);
 }
 
 Status DecodeWorkerRunStats(WireReader* reader, WorkerRunStats* stats) {
@@ -395,6 +394,7 @@ Status DecodeWorkerRunStats(WireReader* reader, WorkerRunStats* stats) {
   MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->shm_bytes_sent));
   MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->shm_bytes_received));
   MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->ring_full_stalls));
+  MJOIN_RETURN_IF_ERROR(reader->ReadU64(&stats->peak_ring_backlog));
   return Status::OK();
 }
 
@@ -512,6 +512,7 @@ std::vector<ShmRingSpec> ComputeRingDirectory(const ParallelPlan& plan,
 }
 
 Status CheckRingFit(const ParallelPlan& plan, uint32_t ring_bytes) {
+  MJOIN_RETURN_IF_ERROR(CheckShmRingBytes(ring_bytes));
   const int64_t max_payload =
       int64_t{ring_bytes} / 2 - int64_t{kShmRecordHdrBytes} * 2;
   for (const XraOp& o : plan.ops) {

@@ -2,6 +2,7 @@
 #define MJOIN_ENGINE_PROCESS_PROTOCOL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -52,12 +53,6 @@ struct PlanEnvelope {
   /// batches, EOS markers, fragments and result rows travel over that ring
   /// directory; the socket carries only control frames.
   uint32_t shm_ring_bytes = 0;
-  /// Warm-fleet mode: after this query's kShutdown the worker tears down
-  /// its query state, acks with kIdle, and parks waiting for the next
-  /// kPlan instead of exiting. kShutdown received while parked (or EOF)
-  /// exits the worker. Off (the default) keeps the one-shot lifecycle:
-  /// kShutdown exits immediately.
-  bool persistent = false;
   /// Skew defense configuration. Shipped in full so the worker derives the
   /// same defended-join set (DefendedJoinOps + enabled()) and the same
   /// local hot thresholds the coordinator's merger assumes.
@@ -166,6 +161,9 @@ struct WorkerRunStats {
   /// Records that found their ring full and were parked in the outbound
   /// backlog.
   uint64_t ring_full_stalls = 0;
+  /// Most records parked in the outbound backlog at once (all rings): the
+  /// process analogue of the thread backend's peak queue depth.
+  uint64_t peak_ring_backlog = 0;
 };
 
 void EncodeWorkerRunStats(const WorkerRunStats& stats,
@@ -242,6 +240,32 @@ static_assert(std::is_trivially_copyable_v<ShmResultRowsHeader> &&
                   sizeof(ShmResultRowsHeader) == 12,
               "shm record headers are raw-copied PODs");
 
+/// Copies the header of a row-carrying ring record (ShmDataHeader,
+/// ShmFragmentHeader or ShmResultRowsHeader) out of `rec` and checks it
+/// against the payload: the header is whole, its schema id names a schema
+/// of its tuple size, and the payload is exactly the header plus
+/// num_tuples rows. Every failure is kUnavailable "corrupt shm record" —
+/// damage in transit, so the retry loop may recover.
+template <typename Header>
+[[nodiscard]] Status ReadRowRecordHeader(const ShmRecordView& rec,
+                                         const SchemaRegistry& registry,
+                                         Header* hdr) {
+  if (rec.payload_bytes < sizeof(Header)) {
+    return Status::Unavailable("corrupt shm record: short header");
+  }
+  std::memcpy(hdr, rec.payload, sizeof(Header));
+  if (hdr->schema_id >= registry.size()) {
+    return Status::Unavailable("corrupt shm record: unknown schema id");
+  }
+  if (registry.Get(hdr->schema_id)->tuple_size() != hdr->tuple_size ||
+      rec.payload_bytes !=
+          sizeof(Header) + uint64_t{hdr->num_tuples} * hdr->tuple_size) {
+    return Status::Unavailable(
+        "corrupt shm record: row bytes disagree with the header");
+  }
+  return Status::OK();
+}
+
 /// The ring directory of one plan on `num_workers` workers: the relay
 /// rings (coordinator <-> each worker, for fragments and result rows)
 /// first, then one ring per communicating worker pair in plan order. The
@@ -251,10 +275,10 @@ static_assert(std::is_trivially_copyable_v<ShmResultRowsHeader> &&
 std::vector<ShmRingSpec> ComputeRingDirectory(const ParallelPlan& plan,
                                               uint32_t num_workers);
 
-/// InvalidArgument unless every op's output row fits one record of a
-/// `ring_bytes` ring together with the largest record header (rows never
-/// fall back to another path, so a too-wide row could not move at all).
-/// Checked before anything is shipped.
+/// InvalidArgument unless `ring_bytes` passes CheckShmRingBytes and every
+/// op's output row fits one record of such a ring together with the
+/// largest record header (rows never fall back to another path, so a
+/// too-wide row could not move at all). Checked before anything is forked.
 [[nodiscard]] Status CheckRingFit(const ParallelPlan& plan,
                                   uint32_t ring_bytes);
 

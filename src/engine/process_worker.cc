@@ -127,16 +127,17 @@ class WorkerRun final : public OpTransport {
   void RingDirtyDoorbells();
   bool InboundRingsNonEmpty();
   Status DrainInboundRings();
+  /// Consumes one record and releases its space (on failure too).
   Status ConsumeShmRecord(ShmRing* ring, const ShmRecordView& rec);
   Status ConsumeShmData(ShmRing* ring, const ShmRecordView& rec);
-  Status ConsumeShmEos(ShmRing* ring, const ShmRecordView& rec);
-  Status ConsumeShmFragment(ShmRing* ring, const ShmRecordView& rec);
+  Status ConsumeShmEos(const ShmRecordView& rec);
+  Status ConsumeShmFragment(const ShmRecordView& rec);
 
   FrameChannel* chan_;
   PlanEnvelope env_;
   ParallelPlan plan_;
   SchemaRegistry registry_;
-  /// Worker-lifetime buffer pool (owned by RunProcessWorker): a persistent
+  /// Worker-lifetime buffer pool (owned by RunProcessWorker): a parked
   /// worker's buffers survive across queries, so steady-state runs reuse
   /// instead of allocating. The *_base_ counters pin the pool's lifetime
   /// totals at run start — the reported buffer stats are per-run deltas,
@@ -155,7 +156,7 @@ class WorkerRun final : public OpTransport {
   WorkerRunStats stats_;
   std::vector<WireTraceEvent> trace_events_;
 
-  /// The query's shm data plane (inherited or laid over the fleet arena).
+  /// The query's shm data plane, a view over the fleet's arena.
   ShmDataPlane* plane_;
   /// The coordinator's endpoint id in the ring directory.
   const uint32_t coord_ep_;
@@ -170,6 +171,7 @@ class WorkerRun final : public OpTransport {
   /// retries the backlog every turn and on the producer-side doorbell.
   std::unordered_map<size_t, std::deque<ShmBacklogRecord>> ring_backlog_;
   size_t ring_backlog_bytes_ = 0;
+  uint64_t ring_backlog_records_ = 0;
   /// Endpoints whose doorbell should ring this loop turn (coalesced: one
   /// eventfd write per endpoint per turn, not one per record).
   std::vector<bool> doorbell_dirty_;
@@ -392,6 +394,8 @@ void WorkerRun::PushShmRecord(uint32_t dest_ep, ShmRecordType type,
   }
   ring_backlog_bytes_ += rec.bytes.size();
   backlog.push_back(std::move(rec));
+  stats_.peak_ring_backlog =
+      std::max(stats_.peak_ring_backlog, ++ring_backlog_records_);
 }
 
 void WorkerRun::RetryBacklogs() {
@@ -406,6 +410,7 @@ void WorkerRun::RetryBacklogs() {
         break;
       }
       ring_backlog_bytes_ -= rec.bytes.size();
+      --ring_backlog_records_;
       backlog.pop_front();
       pushed = true;
     }
@@ -453,73 +458,59 @@ Status WorkerRun::DrainInboundRings() {
 Status WorkerRun::ConsumeShmRecord(ShmRing* ring, const ShmRecordView& rec) {
   ++stats_.shm_records_received;
   stats_.shm_bytes_received += rec.payload_bytes;
+  Status status = Status::OK();
   switch (rec.type) {
     case ShmRecordType::kData:
-      return ConsumeShmData(ring, rec);
+      status = ConsumeShmData(ring, rec);
+      break;
     case ShmRecordType::kEos:
-      return ConsumeShmEos(ring, rec);
+      status = ConsumeShmEos(rec);
+      break;
     case ShmRecordType::kFragment:
-      return ConsumeShmFragment(ring, rec);
+      status = ConsumeShmFragment(rec);
+      break;
     // kResultRows flows worker -> coordinator only, and TryRead swallows
     // pads; listing them keeps -Wswitch honest about new record types.
     case ShmRecordType::kResultRows:
     case ShmRecordType::kPad:
+      status = Status::InvalidArgument(
+          StrCat("worker received unexpected shm ",
+                 ShmRecordTypeName(rec.type), " record"));
       break;
   }
+  // Idempotent: a consumer that already released early is unaffected.
   ring->Release();
-  return Status::InvalidArgument(StrCat("worker received unexpected shm ",
-                                        ShmRecordTypeName(rec.type),
-                                        " record"));
+  return status;
 }
 
 Status WorkerRun::ConsumeShmData(ShmRing* ring, const ShmRecordView& rec) {
   ShmDataHeader hdr;
-  if (rec.payload_bytes < sizeof(hdr)) {
-    ring->Release();
-    return Status::Unavailable("corrupt shm record: short data header");
-  }
-  std::memcpy(&hdr, rec.payload, sizeof(hdr));
-  StatusOr<OpInstance*> target =
-      HostedInstance(hdr.consumer_op, hdr.dest_index, "shm data record");
-  if (!target.ok()) {
-    ring->Release();
-    return target.status();
-  }
-  if (hdr.schema_id >= registry_.size()) {
-    ring->Release();
-    return Status::Unavailable("corrupt shm record: unknown schema id");
-  }
-  const std::shared_ptr<const Schema>& schema = registry_.Get(hdr.schema_id);
-  if (schema->tuple_size() != hdr.tuple_size ||
-      rec.payload_bytes !=
-          sizeof(hdr) + uint64_t{hdr.num_tuples} * hdr.tuple_size) {
-    ring->Release();
-    return Status::Unavailable("corrupt shm record: row bytes disagree "
-                               "with the data header");
-  }
-  if (injector_ != nullptr) injector_->OnDequeue((*target)->processor);
+  MJOIN_RETURN_IF_ERROR(ReadRowRecordHeader(rec, registry_, &hdr));
+  MJOIN_ASSIGN_OR_RETURN(
+      OpInstance * target,
+      HostedInstance(hdr.consumer_op, hdr.dest_index, "shm data record"));
+  if (injector_ != nullptr) injector_->OnDequeue(target->processor);
   // "Deserialize" here is the plane's whole point: one bounds-checked
   // memcpy out of the shared region.
-  std::shared_ptr<TupleBatch> batch = pool_->Acquire(schema);
-  TimedCopy(&stats_.deserialize_seconds, *target,
+  std::shared_ptr<TupleBatch> batch =
+      pool_->Acquire(registry_.Get(hdr.schema_id));
+  TimedCopy(&stats_.deserialize_seconds, target,
             ThreadWorkType::kDeserialize, [&] {
               batch->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples);
             });
   // Rows are copied out: hand the space back before the possibly long
   // Consume below, so the producer keeps streaming while we join.
   ring->Release();
-  host_->DeliverBatch(*target, static_cast<int>(hdr.port), std::move(batch));
+  host_->DeliverBatch(target, static_cast<int>(hdr.port), std::move(batch));
   return Status::OK();
 }
 
-Status WorkerRun::ConsumeShmEos(ShmRing* ring, const ShmRecordView& rec) {
+Status WorkerRun::ConsumeShmEos(const ShmRecordView& rec) {
   ShmEosHeader hdr;
   if (rec.payload_bytes != sizeof(hdr)) {
-    ring->Release();
     return Status::Unavailable("corrupt shm record: bad eos header");
   }
   std::memcpy(&hdr, rec.payload, sizeof(hdr));
-  ring->Release();
   MJOIN_ASSIGN_OR_RETURN(
       OpInstance * target,
       HostedInstance(hdr.consumer_op, hdr.dest_index, "shm eos record"));
@@ -528,37 +519,22 @@ Status WorkerRun::ConsumeShmEos(ShmRing* ring, const ShmRecordView& rec) {
   return Status::OK();
 }
 
-Status WorkerRun::ConsumeShmFragment(ShmRing* ring, const ShmRecordView& rec) {
+Status WorkerRun::ConsumeShmFragment(const ShmRecordView& rec) {
   ShmFragmentHeader hdr;
-  if (rec.payload_bytes < sizeof(hdr)) {
-    ring->Release();
-    return Status::Unavailable("corrupt shm record: short fragment header");
-  }
-  std::memcpy(&hdr, rec.payload, sizeof(hdr));
+  MJOIN_RETURN_IF_ERROR(ReadRowRecordHeader(rec, registry_, &hdr));
   if (hdr.op < 0 || static_cast<size_t>(hdr.op) >= plan_.ops.size() ||
       op(hdr.op).kind != XraOpKind::kScan) {
-    ring->Release();
     return Status::InvalidArgument(
         StrCat("shm fragment for non-scan op ", hdr.op));
   }
   if (hdr.instance >= op(hdr.op).processors.size() ||
       !Hosts(op(hdr.op).processors[hdr.instance])) {
-    ring->Release();
     return Status::InvalidArgument(
         StrCat("shm fragment for op ", hdr.op, " instance ", hdr.instance,
                " which this worker does not host"));
   }
-  if (hdr.schema_id >= registry_.size() ||
-      registry_.Get(hdr.schema_id)->tuple_size() != hdr.tuple_size ||
-      rec.payload_bytes !=
-          sizeof(hdr) + uint64_t{hdr.num_tuples} * hdr.tuple_size) {
-    ring->Release();
-    return Status::Unavailable("corrupt shm record: row bytes disagree "
-                               "with the fragment header");
-  }
   host_->scan_fragment(hdr.op, hdr.instance)
       ->AppendRows(rec.payload + sizeof(hdr), hdr.num_tuples);
-  ring->Release();
   return Status::OK();
 }
 
@@ -745,7 +721,7 @@ Status WorkerRun::Loop() {
 
 }  // namespace
 
-int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
+int RunProcessWorker(int fd, ShmArena* arena) {
   // The channel sends with MSG_NOSIGNAL, but ignore SIGPIPE anyway so no
   // stray write to a dead coordinator can kill the worker with a signal
   // instead of the EPIPE -> kUnavailable path the supervisor understands.
@@ -753,24 +729,27 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
   if (!SetNonBlocking(fd).ok()) return 1;
   FrameChannel chan(fd, "coordinator");
   chan.EnableConformance(LinkRole::kWorker);
-  // Worker-lifetime buffer pool: in persistent mode, steady-state queries
-  // after the first reuse its freelist instead of allocating.
+  // Worker-lifetime buffer pool: steady-state queries after the first
+  // reuse its freelist instead of allocating.
   BatchPool pool;
 
-  auto fail = [&chan, fd](const Status& status) {
-    std::vector<std::byte> payload;
-    EncodeStatusPayload(status, &payload);
-    chan.QueueFrame(FrameType::kError, payload);
-    // Best effort: the coordinator may already be gone.
+  // Best effort: the coordinator may already be gone.
+  auto drain = [&chan, fd] {
     for (int i = 0; i < 100 && chan.has_pending_output(); ++i) {
-      if (!chan.Flush().ok()) break;
-      if (!chan.has_pending_output()) break;
+      if (!chan.Flush().ok()) return;
+      if (!chan.has_pending_output()) return;
       struct pollfd pfd;
       pfd.fd = fd;
       pfd.events = POLLOUT;
       pfd.revents = 0;
       poll(&pfd, 1, 50);
     }
+  };
+  auto fail = [&chan, &drain](const Status& status) {
+    std::vector<std::byte> payload;
+    EncodeStatusPayload(status, &payload);
+    chan.QueueFrame(FrameType::kError, payload);
+    drain();
     return 1;
   };
 
@@ -788,8 +767,8 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
       StatusOr<bool> readable = WaitReadable(fd, 30'000);
       if (!readable.ok()) return 1;
     }
-    // A persistent worker parks after its kIdle ack; the fleet's teardown
-    // then sends a bare kShutdown to exit it cleanly.
+    // The worker parks after its kIdle ack; the fleet's teardown then sends
+    // a bare kShutdown to exit it cleanly.
     if (plan_frame.type == FrameType::kShutdown) return 0;
     if (plan_frame.type != FrameType::kPlan) return 1;
 
@@ -813,8 +792,6 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
     // the coordinator verifies the result. The hello also echoes the ring
     // directory this worker derived from its own parse — the coordinator
     // rejects the fleet before any record can cross a divergent directory.
-    ShmDataPlane* data_plane = plane;
-    std::unique_ptr<ShmDataPlane> arena_view;
     HelloMsg hello;
     hello.protocol_version = kNetProtocolVersion;
     hello.plan_hash = FnvHash64(SerializePlan(*plan));
@@ -822,30 +799,21 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
         ComputeRingDirectory(*plan, env.num_workers);
     hello.ring_directory_hash = ShmDataPlane::HashDirectory(
         directory, env.num_workers + 1, env.shm_ring_bytes);
-    if (arena != nullptr) {
-      // Warm fleet: lay this query's ring view over the inherited arena.
-      // The coordinator formatted the rings before sending kPlan, so the
-      // worker only attaches.
-      StatusOr<std::unique_ptr<ShmDataPlane>> view =
-          ShmDataPlane::CreateInArena(arena, std::move(directory),
-                                      env.num_workers + 1, env.shm_ring_bytes,
-                                      /*format=*/false);
-      if (!view.ok()) return fail(view.status());
-      arena_view = std::move(view).value();
-      data_plane = arena_view.get();
-    }
-    if (data_plane == nullptr) {
-      return fail(Status::Internal("the worker inherited no shm data plane"));
-    }
+    // Lay this query's ring view over the inherited arena. The coordinator
+    // formatted the rings before sending kPlan, so the worker only attaches.
+    StatusOr<std::unique_ptr<ShmDataPlane>> plane =
+        ShmDataPlane::CreateInArena(arena, std::move(directory),
+                                    env.num_workers + 1, env.shm_ring_bytes,
+                                    /*format=*/false);
+    if (!plane.ok()) return fail(plane.status());
     std::vector<std::byte> hello_payload;
     EncodeHello(hello, &hello_payload);
     chan.QueueFrame(FrameType::kHello, hello_payload);
     if (!chan.Flush().ok()) return 1;
 
-    const bool persistent = env.persistent;
     {
       WorkerRun run(&chan, std::move(env), std::move(plan).value(),
-                    data_plane, &pool);
+                    plane->get(), &pool);
       Status status = run.Setup();
       if (status.ok()) status = run.Loop();
       if (!status.ok()) return fail(status);
@@ -853,18 +821,9 @@ int RunProcessWorker(int fd, ShmDataPlane* plane, ShmArena* arena) {
     // The query's state (and its arena view) is down before the idle ack:
     // once the coordinator sees kIdle from every worker it may reformat the
     // arena's rings for the next query.
-    arena_view.reset();
-    if (!persistent) return 0;
+    plane->reset();
     chan.QueueFrame(FrameType::kIdle, {});
-    for (int i = 0; i < 100 && chan.has_pending_output(); ++i) {
-      if (!chan.Flush().ok()) return 1;
-      if (!chan.has_pending_output()) break;
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLOUT;
-      pfd.revents = 0;
-      poll(&pfd, 1, 50);
-    }
+    drain();
     if (chan.has_pending_output()) return 1;
   }
 }

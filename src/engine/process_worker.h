@@ -4,12 +4,11 @@
 namespace mjoin {
 
 class ShmArena;
-class ShmDataPlane;
 
 /// The worker half of the process backend: runs in a child process forked
-/// by ProcessExecutor (one-shot) or by a WarmProcessFleet (persistent),
-/// speaking the net/wire.h frame protocol over `fd` (one end of a
-/// socketpair; ownership is taken).
+/// by a process fleet (a ProcessExecutor's per-query fleet or a
+/// WarmProcessFleet), speaking the net/wire.h frame protocol over `fd`
+/// (one end of a socketpair; ownership is taken).
 ///
 /// The worker is deliberately single-threaded — one poll loop interleaves
 /// frame handling with source pumping — so a fork-without-exec child never
@@ -18,28 +17,23 @@ class ShmDataPlane;
 /// instantiates the operator instances of its hosted processors, and
 /// exchanges batches with the rest of the fleet.
 ///
-/// `plane` is a one-shot coordinator's pre-fork ShmDataPlane, inherited
-/// through fork so its mapping and doorbells are valid here. `arena` is a
-/// warm fleet's fleet-lifetime ShmArena instead; the worker lays a
-/// per-query ShmDataPlane view over it. Exactly one of the two is set.
-/// Either way, data batches, EOS markers, fragments, and result rows
+/// `arena` is the fleet's ShmArena, inherited through fork so its mapping
+/// and doorbells are valid here; per query the worker lays a ShmDataPlane
+/// view over it. Data batches, EOS markers, fragments, and result rows
 /// travel over the rings while control frames stay on the socket. The
-/// child never destroys
-/// the plane or arena — _exit() skips destructors, and the kernel drops its
-/// reference to the shared mapping.
+/// child never destroys the arena — _exit() skips destructors, and the
+/// kernel drops its reference to the shared mapping.
 ///
-/// Lifecycle: after a one-shot query (PlanEnvelope::persistent false) the
-/// worker exits on kShutdown. In persistent mode it tears down the query's
-/// state, acks with kIdle, and parks waiting for the next kPlan; kShutdown
-/// received while parked (or EOF) exits it. The batch pool is
+/// Lifecycle: after each query's kShutdown the worker tears down the
+/// query's state, acks with kIdle, and parks waiting for the next kPlan;
+/// kShutdown received while parked (or EOF) exits it. The batch pool is
 /// worker-lifetime, so a warm worker's steady-state queries reuse buffers
 /// instead of allocating.
 ///
 /// Returns the exit code for the child to _exit() with: 0 after a clean
 /// kShutdown, 1 on any error (a fatal status is reported to the
 /// coordinator as a kError frame first whenever the socket still works).
-int RunProcessWorker(int fd, ShmDataPlane* plane = nullptr,
-                     ShmArena* arena = nullptr);
+int RunProcessWorker(int fd, ShmArena* arena);
 
 }  // namespace mjoin
 

@@ -27,11 +27,12 @@ struct WarmFleetOptions {
 };
 
 /// A pre-forked, long-lived worker-process fleet that executes queries
-/// without paying the per-query fork/exec + mmap cost of ProcessExecutor.
-/// Workers run RunProcessWorker in persistent mode: after each query they
-/// tear down its state, ack kIdle, and park waiting for the next kPlan.
-/// The shm arena (mapping + doorbells) is created once, pre-fork, and
-/// reused by every query.
+/// without paying the per-query fork + mmap cost of ProcessExecutor. Both
+/// run the same attempt path; only the fleet's lifetime differs. After
+/// each query the workers tear down its state, ack kIdle, and park waiting
+/// for the next kPlan. The shm arena (mapping + doorbells) is created
+/// once, pre-fork, sized for any plan's directory, and reused by every
+/// query.
 ///
 /// Execute() is serialized by an internal mutex — one query at a time per
 /// fleet (callers wanting concurrency run several fleets). Any failed run
@@ -56,8 +57,8 @@ class WarmProcessFleet {
   /// ProcessExecutor::Execute (same result shape, retry policy, failure
   /// diagnoses, degrade_to_thread) except that options.num_workers and
   /// options.shm_ring_bytes are overridden
-  /// by the fleet's own spawn-time configuration, and a retry respawns the
-  /// persistent fleet instead of forking a one-shot one.
+  /// by the fleet's own spawn-time configuration, and the fleet outlives
+  /// the query.
   [[nodiscard]] StatusOr<ProcessQueryResult> Execute(
       const ParallelPlan& plan, const ProcessExecOptions& options,
       ThreadExecStats* stats_out = nullptr, ProcessNetStats* net_out = nullptr,

@@ -122,8 +122,8 @@ enum FrameDir : uint32_t {
   /* server -> client: outcome of one kSubmit (QueryResultMsg — status,     */ \
   /* result summary, wall/queue seconds, cache/backend provenance).         */ \
   X(21, QueryResult, "query-result", SERVE, kDirToClient, kPhServe, Keep)      \
-  /* worker -> coordinator (persistent fleets only): the worker tore down   */ \
-  /* the previous query's state and is parked waiting for the next kPlan.   */ \
+  /* worker -> coordinator: the worker tore down the previous query's      */ \
+  /* state and is parked waiting for the next kPlan.                        */ \
   /* It answers the end-of-query kShutdown, so it is observed in kPhDone;   */ \
   /* it returns the link to kPhAwaitPlan for the next query.                */ \
   X(22, Idle, "idle", WC, kDirToCoordinator, kPhDone, AwaitPlan)               \

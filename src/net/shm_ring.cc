@@ -243,14 +243,6 @@ StatusOr<std::unique_ptr<ShmArena>> ShmArena::Create(uint32_t num_endpoints,
   return StatusOr<std::unique_ptr<ShmArena>>(std::move(arena));
 }
 
-ShmDataPlane::~ShmDataPlane() {
-  if (!owns_resources_) return;
-  for (int fd : doorbells_) {
-    if (fd >= 0) close(fd);
-  }
-  if (region_ != nullptr) munmap(region_, region_bytes_);
-}
-
 uint64_t ShmDataPlane::HashDirectory(const std::vector<ShmRingSpec>& specs,
                                      uint32_t num_endpoints,
                                      uint32_t ring_bytes) {
@@ -282,55 +274,18 @@ Status ShmDataPlane::IndexSpecs(std::vector<ShmRingSpec> specs) {
   return Status::OK();
 }
 
-StatusOr<std::unique_ptr<ShmDataPlane>> ShmDataPlane::Create(
-    std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
-    uint32_t ring_bytes) {
+Status CheckShmRingBytes(uint32_t ring_bytes) {
   if (!IsPowerOfTwo(ring_bytes) || ring_bytes < kMinRingBytes) {
     return Status::InvalidArgument("shm ring_bytes must be a power of two "
                                    ">= 4096");
   }
-  auto plane = std::make_unique<ShmDataPlane>();
-  plane->num_endpoints_ = num_endpoints;
-  plane->ring_bytes_ = ring_bytes;
-  plane->directory_hash_ = HashDirectory(specs, num_endpoints, ring_bytes);
-  MJOIN_RETURN_IF_ERROR(plane->IndexSpecs(std::move(specs)));
-
-  const size_t slot = sizeof(ShmRingHdr) + ring_bytes;
-  plane->region_bytes_ = slot * plane->specs_.size();
-  if (plane->region_bytes_ > 0) {
-    // MAP_POPULATE prefaults the whole region in the coordinator before
-    // the fleet forks; the children inherit the populated page tables, so
-    // no worker ever soft-faults on ring traffic mid-query.
-    void* mem = mmap(nullptr, plane->region_bytes_, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_ANONYMOUS | MAP_POPULATE, -1, 0);
-    if (mem == MAP_FAILED) {
-      plane->region_bytes_ = 0;
-      return Status::ResourceExhausted("mmap of shm data plane failed");
-    }
-    plane->region_ = static_cast<std::byte*>(mem);
-  }
-  plane->rings_.resize(plane->specs_.size());
-  for (size_t i = 0; i < plane->specs_.size(); ++i) {
-    plane->rings_[i].Init(plane->region_ + i * slot, ring_bytes);
-  }
-  plane->doorbells_.assign(num_endpoints, -1);
-  for (uint32_t e = 0; e < num_endpoints; ++e) {
-    const int fd = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (fd < 0) {
-      return Status::ResourceExhausted("eventfd for shm doorbell failed");
-    }
-    plane->doorbells_[e] = fd;
-  }
-  return StatusOr<std::unique_ptr<ShmDataPlane>>(std::move(plane));
+  return Status::OK();
 }
 
 StatusOr<std::unique_ptr<ShmDataPlane>> ShmDataPlane::CreateInArena(
     ShmArena* arena, std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
     uint32_t ring_bytes, bool format) {
-  if (!IsPowerOfTwo(ring_bytes) || ring_bytes < kMinRingBytes) {
-    return Status::InvalidArgument("shm ring_bytes must be a power of two "
-                                   ">= 4096");
-  }
+  MJOIN_RETURN_IF_ERROR(CheckShmRingBytes(ring_bytes));
   if (num_endpoints != arena->num_endpoints()) {
     return Status::InvalidArgument(
         "shm plane endpoint count disagrees with the arena's");
@@ -338,16 +293,13 @@ StatusOr<std::unique_ptr<ShmDataPlane>> ShmDataPlane::CreateInArena(
   const size_t slot = sizeof(ShmRingHdr) + ring_bytes;
   if (slot * specs.size() > arena->bytes()) {
     return Status::ResourceExhausted(
-        "the plan's ring directory does not fit the warm fleet's arena");
+        "the plan's ring directory does not fit the fleet's arena");
   }
   auto plane = std::make_unique<ShmDataPlane>();
-  plane->owns_resources_ = false;
   plane->num_endpoints_ = num_endpoints;
   plane->ring_bytes_ = ring_bytes;
   plane->directory_hash_ = HashDirectory(specs, num_endpoints, ring_bytes);
   MJOIN_RETURN_IF_ERROR(plane->IndexSpecs(std::move(specs)));
-  plane->region_ = arena->base();
-  plane->region_bytes_ = 0;  // borrowed; never unmapped by this view
   plane->rings_.resize(plane->specs_.size());
   for (size_t i = 0; i < plane->specs_.size(); ++i) {
     std::byte* mem = arena->base() + i * slot;

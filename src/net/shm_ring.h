@@ -14,13 +14,13 @@
 namespace mjoin {
 
 /// The process backend's shared-memory data plane. Control frames (the
-/// handshake, credits, heartbeats, the finish protocol) stay on the AF_UNIX
-/// socket; bulk payloads move over mmap'd single-producer single-consumer
-/// ring buffers created by the coordinator *before* forking the fleet, so
-/// every worker inherits the same MAP_SHARED|MAP_ANONYMOUS region and the
-/// same virtual addresses. "Serialize" onto a ring is a bounds-checked
-/// memcpy of the batch's raw rows — the wire format is the in-memory
-/// format.
+/// handshake, heartbeats, the finish protocol) stay on the AF_UNIX socket;
+/// bulk payloads move over mmap'd single-producer single-consumer ring
+/// buffers laid over an arena the coordinator maps *before* forking the
+/// fleet, so every worker inherits the same MAP_SHARED|MAP_ANONYMOUS region
+/// and the same virtual addresses. "Serialize" onto a ring is a
+/// bounds-checked memcpy of the batch's raw rows — the wire format is the
+/// in-memory format.
 ///
 /// Each ring carries a stream of 8-byte-aligned records:
 ///
@@ -169,12 +169,12 @@ struct ShmRingSpec {
 };
 
 /// A fleet-lifetime shared region plus per-endpoint doorbells, created once
-/// (pre-fork) by the owner of a persistent worker fleet and inherited by
-/// every member. Per query, both sides lay a ShmDataPlane *view* over the
-/// arena (ShmDataPlane::CreateInArena): the coordinator formats the rings,
-/// the workers attach to them. The arena outlives every view, so a warm
-/// fleet maps and prefaults its shared memory exactly once instead of once
-/// per query — the fork/copy-out cost the serving layer exists to remove.
+/// (pre-fork) by the owner of a worker fleet and inherited by every member.
+/// Per query, both sides lay a ShmDataPlane *view* over the arena
+/// (ShmDataPlane::CreateInArena): the coordinator formats the rings, the
+/// workers attach to them. The arena outlives every view, so a warm fleet
+/// maps and prefaults its shared memory exactly once instead of once per
+/// query — the fork/copy-out cost the serving layer exists to remove.
 class ShmArena {
  public:
   ShmArena() = default;
@@ -202,32 +202,22 @@ class ShmArena {
   std::vector<int> doorbells_;
 };
 
-/// The full data plane for one fleet attempt: one shared mapping holding
-/// every ring, plus one eventfd doorbell per endpoint. Created by the
-/// coordinator pre-fork; children inherit the mapping and the doorbell
-/// descriptors. Destroyed (munmap + close) per attempt, so a respawned
-/// fleet always starts from freshly zeroed rings.
+/// InvalidArgument unless `ring_bytes` is a power of two >= 4096.
+[[nodiscard]] Status CheckShmRingBytes(uint32_t ring_bytes);
+
+/// One query's data plane: a view of every ring of its directory over a
+/// fleet's ShmArena, plus the arena's per-endpoint doorbells.
 class ShmDataPlane {
  public:
-  ShmDataPlane() = default;
-  ~ShmDataPlane();
-  ShmDataPlane(const ShmDataPlane&) = delete;
-  ShmDataPlane& operator=(const ShmDataPlane&) = delete;
-
-  /// `specs` must be duplicate-free with endpoints < num_endpoints;
-  /// `ring_bytes` must be a power of two >= 4096.
-  [[nodiscard]] static StatusOr<std::unique_ptr<ShmDataPlane>> Create(
-      std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
-      uint32_t ring_bytes);
-
-  /// A per-query view over a fleet-lifetime arena: rings are laid out
-  /// sequentially from the arena base in `specs` order (both sides derive
-  /// identical specs from the plan, so the layout needs no negotiation).
-  /// The formatting side (`format` = true, the coordinator) re-initializes
-  /// every ring header — it must do so only while every fleet member is
-  /// parked idle; the attaching side validates the headers it finds. The
-  /// view borrows the arena's mapping and doorbells, so destroying it
-  /// releases nothing.
+  /// Lays the view over `arena`: rings are laid out sequentially from the
+  /// arena base in `specs` order (both sides derive identical specs from
+  /// the plan, so the layout needs no negotiation). `specs` must be
+  /// duplicate-free with endpoints < num_endpoints; `ring_bytes` must pass
+  /// CheckShmRingBytes. The formatting side (`format` = true, the
+  /// coordinator) re-initializes every ring header — it must do so only
+  /// while every fleet member is parked idle; the attaching side validates
+  /// the headers it finds. The view borrows the arena's mapping and
+  /// doorbells, so destroying it releases nothing.
   [[nodiscard]] static StatusOr<std::unique_ptr<ShmDataPlane>> CreateInArena(
       ShmArena* arena, std::vector<ShmRingSpec> specs, uint32_t num_endpoints,
       uint32_t ring_bytes, bool format);
@@ -272,14 +262,9 @@ class ShmDataPlane {
   std::vector<std::vector<size_t>> inbound_;
   std::unordered_map<uint64_t, size_t> index_;  // (from<<32|to) -> ring
   std::vector<int> doorbells_;
-  std::byte* region_ = nullptr;
-  size_t region_bytes_ = 0;
   uint32_t num_endpoints_ = 0;
   uint32_t ring_bytes_ = 0;
   uint64_t directory_hash_ = 0;
-  /// False for CreateInArena views: the mapping and doorbells belong to
-  /// the arena, so the destructor must not munmap or close them.
-  bool owns_resources_ = true;
 };
 
 }  // namespace mjoin

@@ -65,14 +65,17 @@ inline constexpr uint32_t kMaxFrameBytes = 256u << 20;
 /// v2: kPing/kPong heartbeat frames, PlanEnvelope attempt counter.
 /// v3: shm data plane — PlanEnvelope ships the ring configuration, kHello
 ///     echoes the ring-directory hash, kNetStats carries shm counters.
-/// v4: warm fleets and the serving layer — PlanEnvelope `persistent` flag,
-///     kIdle end-of-query ack, kSubmit/kQueryResult serve frames.
+/// v4: warm fleets and the serving layer — PlanEnvelope park-after-query
+///     flag, kIdle end-of-query ack, kSubmit/kQueryResult serve frames.
 /// v5: skew defense — PlanEnvelope ships SkewDefenseOptions, kOpStats
 ///     carries the skew counters, kSkewReport/kSkewDirective frames.
 /// v6: the shm rings are the only data plane — the socket data frames
 ///     (Fragment, Data, Eos, Credit, ResultRows) and the PlanEnvelope's
 ///     data-plane flag are retired.
-inline constexpr uint32_t kNetProtocolVersion = 6;
+/// v7: one fleet lifecycle — every worker parks after kIdle, so the
+///     PlanEnvelope's park-after-query flag is retired; kNetStats carries
+///     the peak ring backlog.
+inline constexpr uint32_t kNetProtocolVersion = 7;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) over `size` bytes.
 uint32_t Crc32(const std::byte* data, size_t size);

@@ -14,7 +14,7 @@ namespace mjoin {
 enum class ServeBackend : uint8_t {
   /// The in-process ThreadExecutor (shared across queries; warm pools).
   kThread = 0,
-  /// The warm process-worker fleet (shared-nothing; persistent workers).
+  /// The warm process-worker fleet (shared-nothing; long-lived workers).
   kProcess = 1,
 };
 

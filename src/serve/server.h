@@ -43,7 +43,7 @@ struct MjoinServeOptions {
 };
 
 /// A long-lived multi-tenant query service over the frame protocol: warm
-/// executors (a shared ThreadExecutor with persistent batch pools, a
+/// executors (a shared ThreadExecutor with executor-lifetime batch pools, a
 /// pre-forked WarmProcessFleet), a plan cache, admission control against a
 /// global memory budget, per-query deadlines and disconnect cancellation,
 /// and FIFO-per-tenant fair scheduling.

@@ -242,6 +242,36 @@ TEST_F(ProcessBackendFaultTest, ShmPlaneTimersRunWithMetricsOff) {
   EXPECT_GT(net.deserialize_seconds, 0.0);
 }
 
+TEST_F(ProcessBackendFaultTest, FullRingsReportAPeakQueueDepth) {
+  // One-row batches on 4 KiB rings outrun the consumers: producers park
+  // records in their ring backlogs, which are the process backend's
+  // queues. A run that stalled on a full ring must report a nonzero peak
+  // queue depth, as the thread backend does for its batch queues. 2000-row
+  // relations keep the worker-to-worker traffic far above one ring's
+  // worth, so the stalls are the workers' and not only the coordinator's.
+  Database db = MakeWisconsinDatabase(/*relations=*/5, /*cardinality=*/2000,
+                                      /*seed=*/7);
+  auto query = MakeWisconsinChainQuery(QueryShape::kLeftLinear, 5, 2000);
+  ASSERT_TRUE(query.ok());
+  auto plan = MakeStrategy(StrategyKind::kFP)
+                  ->Parallelize(*query, /*processors=*/8, TotalCostModel());
+  ASSERT_TRUE(plan.ok()) << plan.status();
+
+  ProcessExecOptions options;
+  options.num_workers = 4;
+  options.shm_ring_bytes = 4096;
+  options.exec.batch_size = 1;
+
+  ThreadExecStats stats;
+  ProcessNetStats net;
+  ProcessExecutor executor(&db);
+  auto run = executor.Execute(*plan, options, &stats, &net);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ASSERT_GT(net.ring_full_stalls, 0u) << "no ring ever filled";
+  EXPECT_GT(stats.peak_queue_depth, 0u);
+  EXPECT_EQ(run->exec.stats.peak_queue_depth, stats.peak_queue_depth);
+}
+
 TEST_F(ProcessBackendFaultTest, RepeatedRunsLeakNoDescriptors) {
   const size_t fds_before = CountOpenFds();
   ProcessExecutor executor(db_.get());

@@ -495,8 +495,8 @@ TEST_F(ProcessChaosTest, KillNineMidRingTrafficRecovers) {
   // batch_size 1 on 4 KiB rings keeps every worker mid-record most of the
   // run, so the victim likely dies between TryReserve and Commit — the
   // half-written slot must stay invisible (unpublished tail), the fleet is
-  // reaped, and the respawned fleet gets freshly mapped zeroed rings. The
-  // retry must be checksum-identical.
+  // reaped, and the respawned fleet gets the same arena with every ring
+  // reformatted. The retry must be checksum-identical.
   ProcessExecOptions options = ChaosOptions();
   options.shm_ring_bytes = 4096;
   options.exec.batch_size = 1;

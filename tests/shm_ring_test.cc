@@ -322,10 +322,25 @@ TEST(ShmRingTest, CursorsSurviveNumericWrapAtUint64Max) {
   EXPECT_TRUE(ring.Empty());
 }
 
+// Maps an arena that fits `specs` and formats a plane over it, as a
+// coordinator does at attach. The arena must outlive the plane.
+StatusOr<std::unique_ptr<ShmDataPlane>> MakePlane(
+    std::unique_ptr<ShmArena>* arena, std::vector<ShmRingSpec> specs,
+    uint32_t num_endpoints, uint32_t ring_bytes) {
+  StatusOr<std::unique_ptr<ShmArena>> mapped = ShmArena::Create(
+      num_endpoints, (sizeof(ShmRingHdr) + ring_bytes) * specs.size());
+  if (!mapped.ok()) return mapped.status();
+  *arena = std::move(mapped).value();
+  return ShmDataPlane::CreateInArena(arena->get(), std::move(specs),
+                                     num_endpoints, ring_bytes,
+                                     /*format=*/true);
+}
+
 TEST(ShmDataPlaneTest, DirectoryLookupsAndDoorbells) {
   std::vector<ShmRingSpec> specs = {{2, 0}, {2, 1}, {0, 2}, {1, 0}};
-  auto plane = ShmDataPlane::Create(specs, /*num_endpoints=*/3,
-                                    /*ring_bytes=*/4096);
+  std::unique_ptr<ShmArena> arena;
+  auto plane = MakePlane(&arena, specs, /*num_endpoints=*/3,
+                         /*ring_bytes=*/4096);
   ASSERT_TRUE(plane.ok()) << plane.status();
   ShmDataPlane& p = **plane;
   EXPECT_EQ(p.num_rings(), 4u);
@@ -357,17 +372,17 @@ TEST(ShmDataPlaneTest, DirectoryLookupsAndDoorbells) {
 }
 
 TEST(ShmDataPlaneTest, RejectsBadConfigurations) {
-  EXPECT_EQ(ShmDataPlane::Create({{0, 1}}, 2, 1000).status().code(),
+  std::unique_ptr<ShmArena> arena;
+  EXPECT_EQ(MakePlane(&arena, {{0, 1}}, 2, 1000).status().code(),
             StatusCode::kInvalidArgument);  // not a power of two
-  EXPECT_EQ(ShmDataPlane::Create({{0, 1}}, 2, 2048).status().code(),
+  EXPECT_EQ(MakePlane(&arena, {{0, 1}}, 2, 2048).status().code(),
             StatusCode::kInvalidArgument);  // below the 4 KiB floor
-  EXPECT_EQ(ShmDataPlane::Create({{0, 0}}, 2, 4096).status().code(),
+  EXPECT_EQ(MakePlane(&arena, {{0, 0}}, 2, 4096).status().code(),
             StatusCode::kInvalidArgument);  // self-ring
-  EXPECT_EQ(ShmDataPlane::Create({{0, 2}}, 2, 4096).status().code(),
+  EXPECT_EQ(MakePlane(&arena, {{0, 2}}, 2, 4096).status().code(),
             StatusCode::kInvalidArgument);  // endpoint out of range
-  EXPECT_EQ(
-      ShmDataPlane::Create({{0, 1}, {0, 1}}, 2, 4096).status().code(),
-      StatusCode::kInvalidArgument);  // duplicate ring
+  EXPECT_EQ(MakePlane(&arena, {{0, 1}, {0, 1}}, 2, 4096).status().code(),
+            StatusCode::kInvalidArgument);  // duplicate ring
 }
 
 TEST(ShmDataPlaneTest, HashCoversEveryDirectoryDimension) {

@@ -47,8 +47,12 @@ bool AwaitDoorbell(int fd) {
 // process backend's poll loops use; a lost wakeup trips the watchdog.
 void RunBothEndpoints(uint32_t ring_bytes, uint32_t total,
                       uint32_t payload_step, uint32_t ring_every) {
-  StatusOr<std::unique_ptr<ShmDataPlane>> made =
-      ShmDataPlane::Create({{0, 1}}, /*num_endpoints=*/2, ring_bytes);
+  StatusOr<std::unique_ptr<ShmArena>> arena =
+      ShmArena::Create(/*num_endpoints=*/2, sizeof(ShmRingHdr) + ring_bytes);
+  ASSERT_TRUE(arena.ok()) << arena.status();
+  StatusOr<std::unique_ptr<ShmDataPlane>> made = ShmDataPlane::CreateInArena(
+      arena->get(), {{0, 1}}, /*num_endpoints=*/2, ring_bytes,
+      /*format=*/true);
   ASSERT_TRUE(made.ok()) << made.status();
   std::unique_ptr<ShmDataPlane> plane = std::move(made).value();
   ShmRing* ring = plane->RingTo(0, 1);

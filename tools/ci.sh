@@ -15,6 +15,9 @@
 #      concurrency-sensitive tests, and an UndefinedBehaviorSanitizer
 #      pass over the full suite (tools/run_sanitized_tests.sh)
 #
+# It also prints the change's net line delta per src/ subdirectory
+# (tools/loc_delta.sh); that stage is informational and gates nothing.
+#
 # 'fast' skips the sanitizer passes (step 4) for quick local iteration;
 # a merge still requires the full run. Build trees are kept apart
 # (build-ci, build-lint, build-threadsan, build-addresssan,
@@ -32,6 +35,9 @@ MODE="${1:-full}"
 # the channel into a hard error. The golden/serve/chaos suites arm this
 # themselves, but exporting it here covers every other binary too.
 export MJOIN_CONFORMANCE=1
+
+echo "== ci: net line delta (informational) =="
+tools/loc_delta.sh || echo "loc_delta: no line counts (not a git checkout?)"
 
 echo "== ci: project lint =="
 python3 tools/mjoin_lint.py
